@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,26 +29,9 @@ from . import ehm
 from . import operators as ops
 from . import reducibility as red
 from .errors import SpeclabError, ValidationError
+from .symbols import from_dict, winding, zeros_on_torus
 
-COMMANDS = ("beta", "winding", "lyapunov", "ids", "rotation", "duality-check",
-            "cohomology", "conjugacy", "gordon", "transition", "atlas")
-
-_PARAM_KEYS = {
-    "beta": {"alpha", "depth", "window"},
-    "winding": {"lambda", "alpha", "grid"},
-    "lyapunov": {"lambda", "alpha", "energy", "kind", "n_iter", "n_phases",
-                 "epsilon", "dual"},
-    "ids": {"lambda", "alpha", "N", "n_phases", "e_min", "e_max", "n_e",
-            "dual"},
-    "rotation": {"lambda", "alpha", "e_min", "e_max", "n_e", "n_iter"},
-    "duality-check": {"lambda", "alpha", "N", "n_phases"},
-    "cohomology": {"lambda", "alpha", "k_out", "rhs_mode"},
-    "conjugacy": {"lambda", "alpha", "energy", "K_B", "grid", "n_iter",
-                  "tau", "m_max", "eigenvector"},
-    "gordon": {"lambda", "alpha", "theta", "energy", "level", "phi_count"},
-    "transition": {"lambda", "alpha", "N", "n_phases", "thresholds", "q_cap"},
-    "atlas": {"l13", "l2", "ratio"},
-}
+REQUIRED = object()   # table default of a parameter that must be given
 
 
 def fmt(x):
@@ -63,27 +47,53 @@ def fmt(x):
 
 def parse_alpha(spec: str, depth: int = 40) -> dio.ContinuedFraction:
     s = str(spec)
-    if s.startswith("beta:"):
-        parts = s.split(":")[1:]
-        target = float(parts[0])
-        levels = int(parts[1]) if len(parts) > 1 else 4
-        q2 = int(parts[2]) if len(parts) > 2 else None
-        return dio.synth_alpha(target, levels, q2=q2)
-    if s.startswith("quotients:"):
-        quots = [int(t) for t in s.split(":", 1)[1].split(",")]
-        cf = dio._from_quotients(quots, None, None, "quotients")
-        from fractions import Fraction
-        exact = Fraction(cf.p[-1], cf.q[-1])
-        return dio.ContinuedFraction(cf.quotients, cf.p, cf.q, exact, exact,
-                                     "quotients")
-    return dio.expand(s, depth)
+    try:
+        if s.startswith("beta:"):
+            parts = s.split(":")[1:]
+            target = float(parts[0])
+            levels = int(parts[1]) if len(parts) > 1 else 4
+            q2 = int(parts[2]) if len(parts) > 2 else None
+            return dio.synth_alpha(target, levels, q2=q2)
+        if s.startswith("quotients:"):
+            quots = [int(t) for t in s.split(":", 1)[1].split(",")]
+            cf = dio._from_quotients(quots, None, None, "quotients")
+            exact = Fraction(cf.p[-1], cf.q[-1])
+            return dio.ContinuedFraction(cf.quotients, cf.p, cf.q, exact,
+                                         exact, "quotients")
+        return dio.expand(s, depth)
+    except (ValueError, ArithmeticError) as exc:
+        raise ValidationError(f"bad alpha {s!r}: {exc}") from None
+
+
+def _count(v) -> int:
+    """A non-negative integer, also when written as a float ("1e5")."""
+    f = float(v)
+    if f < 0 or not f.is_integer():
+        raise ValueError(f"{v!r} is not a non-negative integer")
+    return int(f)
+
+
+_bool = {True: True, False: False, "true": True, "false": False}.__getitem__
+
+
+def _grid(spec) -> list:
+    lo, hi, n = str(spec).split(":")
+    return np.linspace(float(lo), float(hi), _count(n)).tolist()
+
+
+def _mode(spec) -> tuple:
+    k, amp = str(spec).split(":")
+    return int(k), float(amp)
+
+
+def _thresholds(th: dict) -> dict:
+    # an unknown name raises KeyError; values take the default's type
+    return {k: type(ehm.TRANSITION_DEFAULTS[k])(v) for k, v in dict(th).items()}
 
 
 def parse_lambda(spec) -> tuple:
-    if isinstance(spec, (list, tuple)):
-        vals = [float(v) for v in spec]
-    else:
-        vals = [float(t) for t in str(spec).split(",")]
+    parts = spec if isinstance(spec, (list, tuple)) else str(spec).split(",")
+    vals = [float(v) for v in parts]
     if len(vals) != 3:
         raise ValidationError(f"lambda needs three components, got {spec!r}")
     return tuple(vals)
@@ -117,85 +127,77 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def config_hash(config: dict) -> str:
-    blob = json.dumps(fmt(config), sort_keys=True).encode()
+    """Hash of what fixes a run's results: command, resolved params, seed."""
+    key = {k: config[k] for k in ("command", "params", "seed")}
+    blob = json.dumps(fmt(key), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each returns (result dict, list of extra csv files)
+# command implementations: (resolved params, seed, out_dir) -> result dict
 # ---------------------------------------------------------------------------
 
-def _model_from(params, dio_depth=40):
-    cf = parse_alpha(params.get("alpha", "golden"), dio_depth)
-    lam = parse_lambda(params["lambda"])
-    model = ehm.ehm_model(lam, cf)
-    if params.get("dual"):
-        model = ehm.ehm_model(ehm.sigma(lam), cf)
-    return lam, cf, model
+def _model_from(p, dual=False):
+    lam, cf = p["lambda"], parse_alpha(p["alpha"])
+    return lam, cf, ehm.ehm_model(ehm.sigma(lam) if dual else lam, cf)
 
 
-def _cmd_beta(params, seed, out_dir):
-    cf = parse_alpha(params["alpha"], int(params.get("depth", 30)))
-    window = params.get("window")
-    est = dio.beta(cf, int(window) if window is not None else None)
+def _energy_range(p, model):
+    hull = model.sup_bound() + 0.5
+    return (-hull if p["e_min"] is None else p["e_min"],
+            hull if p["e_max"] is None else p["e_max"])
+
+
+def _cmd_beta(p, seed, out_dir):
+    cf = parse_alpha(p["alpha"], p["depth"])
+    est = dio.beta(cf, p["window"])
     rows = [(n + 1, v) for n, v in enumerate(est.per_level)]
     write_csv(os.path.join(out_dir, "per_level.csv"),
               ["level", "ln_q_next_over_q"], rows)
     return {"beta": est.to_json(), "alpha": cf.to_json()}
 
 
-def _cmd_winding(params, seed, out_dir):
-    lam, cf, model = _model_from(params)
-    from .symbols import winding, zeros_on_torus
-    w = winding(model.c, int(params.get("grid", 4096)))
+def _cmd_winding(p, seed, out_dir):
+    lam, cf, model = _model_from(p)
+    w = winding(model.c, p["grid"])
     zer = zeros_on_torus(model.c)
     return {"winding": w,
             "roots": [[z.real, z.imag] for z in zer.roots],
             "on_circle_phases": list(zer.torus_phases)}
 
 
-def _cmd_lyapunov(params, seed, out_dir):
-    lam, cf, model = _model_from(params)
-    E = float(params["energy"]) if "energy" in params else \
+def _cmd_lyapunov(p, seed, out_dir):
+    lam, cf, model = _model_from(p, p["dual"])
+    E = p["energy"] if p["energy"] is not None else \
         float(ops.spectrum_samples(model, 1, N=600, n_theta=4)[0])
-    co = coc.Cocycle(model, E, kind=params.get("kind", "normalized"),
-                     epsilon=float(params.get("epsilon", 0.0)))
-    est = coc.lyapunov(co, int(float(params.get("n_iter", 1e5))),
-                       int(params.get("n_phases", 8)), seed)
+    co = coc.Cocycle(model, E, kind=p["kind"], epsilon=p["epsilon"])
+    est = coc.lyapunov(co, p["n_iter"], p["n_phases"], seed)
     return {"estimate": est.to_json(), "energy": E, "lambda": list(lam)}
 
 
-def _cmd_ids(params, seed, out_dir):
-    lam, cf, model = _model_from(params)
-    hull = model.sup_bound() + 0.5
-    e_min = float(params.get("e_min", -hull))
-    e_max = float(params.get("e_max", hull))
-    grid = np.linspace(e_min, e_max, int(params.get("n_e", 50)))
-    curve = ops.ids(model, grid, int(params.get("N", 500)),
-                    int(params.get("n_phases", 8)), seed)
+def _cmd_ids(p, seed, out_dir):
+    lam, cf, model = _model_from(p, p["dual"])
+    e_min, e_max = _energy_range(p, model)
+    grid = np.linspace(e_min, e_max, p["n_e"])
+    curve = ops.ids(model, grid, p["N"], p["n_phases"], seed)
     write_csv(os.path.join(out_dir, "ids.csv"), ["E", "N_of_E"], curve.rows())
     return {"N": curve.N, "n_phases": curve.n_phases,
             "e_range": [e_min, e_max]}
 
 
-def _cmd_rotation(params, seed, out_dir):
-    lam, cf, model = _model_from(params)
-    hull = model.sup_bound() + 0.5
-    grid = np.linspace(float(params.get("e_min", -hull)),
-                       float(params.get("e_max", hull)),
-                       int(params.get("n_e", 50)))
-    rhos = coc.rotation_sweep(model, grid,
-                              int(float(params.get("n_iter", 2e5))))
+def _cmd_rotation(p, seed, out_dir):
+    lam, cf, model = _model_from(p)
+    grid = np.linspace(*_energy_range(p, model), p["n_e"])
+    rhos = coc.rotation_sweep(model, grid, p["n_iter"])
     write_csv(os.path.join(out_dir, "rotation.csv"), ["E", "rho"],
               list(zip(grid.tolist(), rhos.tolist())))
     return {"n_e": len(grid)}
 
 
-def _cmd_duality_check(params, seed, out_dir):
-    lam, cf, model = _model_from(params)
+def _cmd_duality_check(p, seed, out_dir):
+    lam, cf, model = _model_from(p)
     ref = ehm.ehm_model(ehm.sigma(lam), cf)
-    rep = dua.duality_checks(model, lam[1], ref, int(params.get("N", 500)),
-                             int(params.get("n_phases", 8)), seed)
+    rep = dua.duality_checks(model, lam[1], ref, p["N"], p["n_phases"], seed)
     return {"hausdorff": rep.hausdorff,
             "hausdorff_half_window": rep.hausdorff_half_window,
             "kolmogorov": rep.kolmogorov,
@@ -203,56 +205,49 @@ def _cmd_duality_check(params, seed, out_dir):
             "N": rep.N, "n_phases": rep.n_phases}
 
 
-def _cmd_cohomology(params, seed, out_dir):
-    cf = parse_alpha(params.get("alpha", "golden"))
-    k_out = int(params.get("k_out", 48))
-    if "rhs_mode" in params:
-        k, amp = str(params["rhs_mode"]).split(":")
-        from .symbols import from_dict
-        rhs = from_dict({int(k): float(amp), -int(k): float(amp)})
-        k_out = max(k_out, abs(int(k)))
-    else:
-        lam = parse_lambda(params["lambda"])
-        d = ehm.ehm_model(ehm.sigma(lam), cf).c
+def _cmd_cohomology(p, seed, out_dir):
+    cf = parse_alpha(p["alpha"])
+    k_out = p["k_out"]
+    if p["rhs_mode"] is not None:
+        k, amp = p["rhs_mode"]
+        rhs = from_dict({k: amp, -k: amp})
+        k_out = max(k_out, abs(k))
+    elif p["lambda"] is not None:
+        d = ehm.ehm_model(ehm.sigma(p["lambda"]), cf).c
         rhs = red.phase_rhs(d, k_out)
+    else:
+        raise ValidationError("cohomology needs lambda or rhs_mode")
     sol = red.solve_cohomology(rhs, cf, k_out)
     return {"residual_sup": sol.residual_sup,
             "small_divisor_floor": sol.small_divisor_floor,
             "k_out": k_out}
 
 
-def _cmd_conjugacy(params, seed, out_dir):
-    lam = parse_lambda(params["lambda"])
-    cf = parse_alpha(params.get("alpha", "golden"))
-    model = ehm.ehm_model(ehm.sigma(lam), cf)   # subcritical dual side
-    n_iter = int(float(params.get("n_iter", 4e5)))
-    if "energy" in params:
-        E = float(params["energy"])
-    else:
+def _cmd_conjugacy(p, seed, out_dir):
+    cf = parse_alpha(p["alpha"])
+    model = ehm.ehm_model(ehm.sigma(p["lambda"]), cf)   # subcritical dual side
+    E = p["energy"]
+    if E is None:
         cands = ops.spectrum_samples(model, 8, N=800, n_theta=4)
-        rhos = coc.rotation_sweep(model, cands, n_iter)
-        tau = float(params.get("tau", 2.0))
-        m_max = int(params.get("m_max", 10_000))
-        gammas = [dio.dc_membership(cf, float(r), tau, m_max) for r in rhos]
+        rhos = coc.rotation_sweep(model, cands, p["n_iter"])
+        gammas = [dio.dc_membership(cf, float(r), p["tau"], p["m_max"])
+                  for r in rhos]
         E = float(cands[int(np.argmax(gammas))])
     co = coc.Cocycle(model, E, kind="normalized")
-    rho = coc.rotation_number(co, n_iter=n_iter)
-    cand = red.fit_conjugacy(co, rho, int(params.get("K_B", 64)),
-                             int(params.get("grid", 1024)))
+    rho = coc.rotation_number(co, n_iter=p["n_iter"])
+    cand = red.fit_conjugacy(co, rho, p["K_B"], p["grid"])
     out = {"candidate": cand.to_json(), "energy": E}
-    if params.get("eigenvector"):
+    if p["eigenvector"]:
         u, resid = red.dual_eigenvector_from_conjugacy(cand, co)
         out["eigenvector_residual"] = resid
     return out
 
 
-def _cmd_gordon(params, seed, out_dir):
-    lam, cf, model = _model_from(params)
-    E = float(params["energy"]) if "energy" in params else \
+def _cmd_gordon(p, seed, out_dir):
+    lam, cf, model = _model_from(p)
+    E = p["energy"] if p["energy"] is not None else \
         float(ops.spectrum_samples(model, 1, N=600, n_theta=4)[0])
-    rep = ops.gordon_test(model, float(params.get("theta", 0.137)), E, cf,
-                          int(params.get("level", 8)),
-                          int(params.get("phi_count", 8)))
+    rep = ops.gordon_test(model, p["theta"], E, cf, p["level"], p["phi_count"])
     return {"q": rep.q, "passed": rep.passed,
             "min_max_norm": rep.min_max_norm,
             "trace_log_abs": rep.trace_log_abs,
@@ -261,27 +256,14 @@ def _cmd_gordon(params, seed, out_dir):
             "product_bound": rep.product_bound, "energy": E}
 
 
-def _cmd_transition(params, seed, out_dir):
-    lam = parse_lambda(params["lambda"])
-    cf = parse_alpha(params.get("alpha", "golden"))
-    report = ehm.transition_experiment(
-        lam, cf, int(params.get("N", 2000)), seeds=(seed,),
-        n_phases=int(params.get("n_phases", 32)),
-        thresholds=params.get("thresholds"),
-        q_cap=int(params.get("q_cap", 5000)))
-    return report
+def _cmd_transition(p, seed, out_dir):
+    return ehm.transition_experiment(
+        p["lambda"], parse_alpha(p["alpha"]), p["N"], seeds=(seed,),
+        n_phases=p["n_phases"], thresholds=p["thresholds"], q_cap=p["q_cap"])
 
 
-def _cmd_atlas(params, seed, out_dir):
-    def grid_spec(s, default):
-        if s is None:
-            return default
-        lo, hi, n = str(s).split(":")
-        return np.linspace(float(lo), float(hi), int(n)).tolist()
-
-    rows = ehm.atlas_rows(grid_spec(params.get("l13"), [0.2, 0.5, 0.8, 1.2]),
-                          grid_spec(params.get("l2"), [0.3, 0.6, 0.9, 1.5]),
-                          float(params.get("ratio", 1.0)))
+def _cmd_atlas(p, seed, out_dir):
+    rows = ehm.atlas_rows(p["l13"], p["l2"], p["ratio"])
     write_csv(os.path.join(out_dir, "atlas.csv"),
               ["l1", "l2", "l3", "region", "singular", "L", "dual_winding"],
               [(r["l1"], r["l2"], r["l3"], r["region"], r["singular"],
@@ -291,13 +273,48 @@ def _cmd_atlas(params, seed, out_dir):
     return {"rows": len(rows)}
 
 
-_DISPATCH = {
-    "beta": _cmd_beta, "winding": _cmd_winding, "lyapunov": _cmd_lyapunov,
-    "ids": _cmd_ids, "rotation": _cmd_rotation,
-    "duality-check": _cmd_duality_check, "cohomology": _cmd_cohomology,
-    "conjugacy": _cmd_conjugacy, "gordon": _cmd_gordon,
-    "transition": _cmd_transition, "atlas": _cmd_atlas,
+# ---------------------------------------------------------------------------
+# the parameter table, {command: (handler, {param: (parser, default)})};
+# a default of None means that the handler derives the value
+# ---------------------------------------------------------------------------
+
+_MODEL = {"lambda": (parse_lambda, REQUIRED), "alpha": (str, "golden")}
+_E_GRID = {"e_min": (float, None), "e_max": (float, None), "n_e": (_count, 50)}
+
+COMMANDS = {
+    "beta": (_cmd_beta, {"alpha": (str, REQUIRED), "depth": (_count, 30),
+                         "window": (_count, None)}),
+    "winding": (_cmd_winding, {**_MODEL, "grid": (_count, 4096)}),
+    "lyapunov": (_cmd_lyapunov, {
+        **_MODEL, "energy": (float, None), "kind": (str, "normalized"),
+        "n_iter": (_count, 100_000), "n_phases": (_count, 8),
+        "epsilon": (float, 0.0), "dual": (_bool, False)}),
+    "ids": (_cmd_ids, {**_MODEL, **_E_GRID, "N": (_count, 500),
+                       "n_phases": (_count, 8), "dual": (_bool, False)}),
+    "rotation": (_cmd_rotation, {**_MODEL, **_E_GRID,
+                                 "n_iter": (_count, 200_000)}),
+    "duality-check": (_cmd_duality_check, {**_MODEL, "N": (_count, 500),
+                                           "n_phases": (_count, 8)}),
+    "cohomology": (_cmd_cohomology, {
+        **_MODEL, "lambda": (parse_lambda, None), "k_out": (_count, 48),
+        "rhs_mode": (_mode, None)}),
+    "conjugacy": (_cmd_conjugacy, {
+        **_MODEL, "energy": (float, None), "K_B": (_count, 64),
+        "grid": (_count, 1024), "n_iter": (_count, 400_000), "tau": (float, 2.0),
+        "m_max": (_count, 10_000), "eigenvector": (_bool, False)}),
+    "gordon": (_cmd_gordon, {
+        **_MODEL, "theta": (float, 0.137), "energy": (float, None),
+        "level": (_count, 8), "phi_count": (_count, 8)}),
+    "transition": (_cmd_transition, {
+        **_MODEL, "N": (_count, 2000), "n_phases": (_count, 32),
+        "thresholds": (_thresholds, None), "q_cap": (_count, 5000)}),
+    "atlas": (_cmd_atlas, {"l13": (_grid, (0.2, 0.5, 0.8, 1.2)),
+                           "l2": (_grid, (0.3, 0.6, 0.9, 1.5)),
+                           "ratio": (float, 1.0)}),
 }
+
+_FLAGS = ("alpha", "lambda", "depth", "energy", "N", "n_iter", "n_phases",
+          "level", "K_B")
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +322,40 @@ _DISPATCH = {
 # ---------------------------------------------------------------------------
 
 def _validate(config: dict) -> dict:
+    """The config with every parameter parsed from the table or defaulted."""
     cmd = config.get("command")
     if cmd not in COMMANDS:
         raise ValidationError(f"unknown command {cmd!r}")
-    params = dict(config.get("params", {}))
-    unknown = set(params) - _PARAM_KEYS[cmd]
+    table = COMMANDS[cmd][1]
+    given = dict(config.get("params", {}))
+    unknown = set(given) - set(table)
     if unknown:
         raise ValidationError(f"unknown parameter keys {sorted(unknown)}")
-    return {"command": cmd, "params": params,
-            "seed": int(config.get("seed", 0)),
-            "out_dir": config.get("out_dir", "."),
-            "threads": config.get("threads", "auto")}
+    params = {}
+    for name, (parse, default) in table.items():
+        value = given.get(name, default)
+        if value is REQUIRED:
+            raise ValidationError(f"{cmd} needs parameter {name!r}")
+        if value is not default:     # so an explicit null keeps a None default
+            try:
+                value = parse(value)
+            except (ValueError, TypeError, ArithmeticError, LookupError) as exc:
+                raise ValidationError(f"bad {name} {value!r}: {exc}") from None
+        params[name] = value
+    threads = config.get("threads", "auto")
+    if threads == "auto":
+        threads = os.environ.get("SPECLAB_THREADS", 1)
+    try:
+        seed, threads = _count(config.get("seed", 0)), max(1, _count(threads))
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"bad seed or threads: {exc}") from None
+    return {"command": cmd, "params": params, "seed": seed,
+            "out_dir": config.get("out_dir", "."), "threads": threads}
 
 
 def run(config: dict) -> int:
-    """Execute one command; write manifest + result artifacts; exit code."""
+    """Execute one command; write manifest + result artifacts; exit code.
+    An error that is not a SpeclabError is recorded, then propagates."""
     try:
         config = _validate(config)
     except SpeclabError as exc:
@@ -330,18 +366,19 @@ def run(config: dict) -> int:
     manifest = {"config": config, "version": __version__,
                 "config_hash": config_hash(config), "status": "ok",
                 "error": None}
-    code = 0
+    handler = COMMANDS[config["command"]][0]
     try:
-        result = _DISPATCH[config["command"]](config["params"],
-                                              config["seed"], out_dir)
+        result = handler(config["params"], config["seed"], out_dir)
         write_json(os.path.join(out_dir, "result.json"), result)
-    except SpeclabError as exc:
-        manifest["status"] = "error"
-        manifest["error"] = f"{type(exc).__name__}: {exc}"
-        code = exc.exit_code
+    except BaseException as exc:
+        manifest.update(status="error", error=f"{type(exc).__name__}: {exc}")
+        if not isinstance(exc, SpeclabError):
+            raise
         sys.stderr.write(f"error: {manifest['error']}\n")
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return code
+        return exc.exit_code
+    finally:
+        write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    return 0
 
 
 def _expand_axes(axes: dict) -> list:
@@ -354,10 +391,13 @@ def _expand_axes(axes: dict) -> list:
 
 
 def _parse_axis(spec: str) -> tuple:
-    key, vals = spec.split("=", 1)
-    if ":" in vals:
-        lo, hi, n = vals.split(":")
-        return key, np.linspace(float(lo), float(hi), int(n)).tolist()
+    try:
+        key, vals = spec.split("=", 1)
+        if ":" in vals:
+            return key, _grid(vals)
+    except ValueError:
+        raise ValidationError("--axis needs key=v1,v2,... or key=lo:hi:n, "
+                              f"got {spec!r}") from None
     out = []
     for tok in vals.split(","):
         try:
@@ -370,42 +410,37 @@ def _parse_axis(spec: str) -> tuple:
 
 def sweep(template: dict, axes: dict) -> int:
     """One sub-run per grid point with derived seeds; resumable by
-    manifest hash; emits an index CSV joining parameters to artifacts."""
+    manifest hash; emits an index CSV joining parameters to artifacts.
+    Exits 3 if a point exits 3, else with the points' largest exit code."""
+    points = _expand_axes(axes)
+    given = template.get("params", {})
     try:
-        template = _validate(template)
+        if not points:
+            raise ValidationError("a sweep axis has no values")
+        # the axes may supply parameters that the template leaves out
+        checked = _validate(dict(template, params=dict(given, **points[0])))
     except SpeclabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code
-    base = template["out_dir"]
+    base = checked["out_dir"]
     os.makedirs(base, exist_ok=True)
-    points = _expand_axes(axes)
     jobs = []
     for i, point in enumerate(points):
-        cfg = {"command": template["command"],
-               "params": dict(template["params"], **point),
-               "seed": template["seed"] + i,
+        cfg = {"command": checked["command"],
+               "params": dict(given, **point),
+               "seed": checked["seed"] + i,
                "out_dir": os.path.join(base, f"point_{i:04d}"),
                "threads": 1}
         jobs.append((i, point, cfg))
 
     def should_skip(cfg):
-        path = os.path.join(cfg["out_dir"], "manifest.json")
-        if not os.path.exists(path):
-            return False
         try:
-            with open(path) as fh:
+            with open(os.path.join(cfg["out_dir"], "manifest.json")) as fh:
                 m = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            return (m.get("status") == "ok" and
+                    m.get("config_hash") == config_hash(_validate(cfg)))
+        except (OSError, ValueError, SpeclabError):
             return False
-        return (m.get("config_hash") == config_hash(_validate(cfg))
-                and m.get("status") == "ok")
-
-    threads = template["threads"]
-    if threads == "auto":
-        threads = int(os.environ.get("SPECLAB_THREADS", "1"))
-    threads = max(1, int(threads))
-
-    results = {}
 
     def work(job):
         i, point, cfg = job
@@ -413,28 +448,23 @@ def sweep(template: dict, axes: dict) -> int:
             return i, point, cfg, 0, True
         return i, point, cfg, run(cfg), False
 
-    if threads == 1:
+    if checked["threads"] == 1:
         done = [work(j) for j in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=checked["threads"]) as pool:
             done = list(pool.map(work, jobs))
 
     rows = []
-    codes = []
     keys = sorted(axes)
     for i, point, cfg, code, skipped in sorted(done):
-        codes.append(code)
         rows.append([i] + [point[k] for k in keys] + [cfg["seed"],
                     os.path.relpath(cfg["out_dir"], base),
                     "skipped" if skipped else ("ok" if code == 0 else
                                                f"exit{code}")])
     write_csv(os.path.join(base, "index.csv"),
               ["index"] + keys + ["seed", "path", "status"], rows)
-    if any(c == 3 for c in codes):
-        return 3
-    if all(c != 0 for c in codes) and codes:
-        return max(codes)
-    return 0
+    codes = [job[3] for job in done]
+    return 3 if 3 in codes else max(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="speclab",
         description="quasiperiodic Jacobi operator laboratory")
-    p.add_argument("command", choices=COMMANDS + ("sweep",))
+    p.add_argument("command", choices=tuple(COMMANDS) + ("sweep",))
     p.add_argument("--config", help="JSON config file (flags override)")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -454,16 +484,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sweep axis key=v1,v2,... or key=lo:hi:n")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="set a command parameter")
-    # common convenience flags
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--energy", type=float, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--n-iter", type=float, default=None)
-    p.add_argument("--n-phases", type=int, default=None)
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--K-B", type=int, default=None)
+    for name in _FLAGS:
+        p.add_argument("--" + name.replace("_", "-"), dest=name,
+                       help=f"same as --set {name}=...")
     return p
 
 
@@ -471,8 +494,13 @@ def _config_from_args(args) -> tuple:
     config = {"command": None, "params": {}, "seed": 0, "out_dir": ".",
               "threads": "auto"}
     if args.config:
-        with open(args.config) as fh:
-            config.update(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                config.update(json.load(fh))
+            config["params"] = dict(config["params"])
+        except (OSError, ValueError, TypeError) as exc:
+            raise ValidationError(
+                f"cannot read config {args.config}: {exc}") from None
     if args.command != "sweep":
         config["command"] = args.command
     # sweeps take the template command from the config file
@@ -480,13 +508,9 @@ def _config_from_args(args) -> tuple:
                      ("threads", args.threads)):
         if val is not None:
             config[key] = val
-    flag_params = {"alpha": args.alpha, "lambda": args.lam,
-                   "depth": args.depth, "energy": args.energy, "N": args.N,
-                   "n_iter": args.n_iter, "n_phases": args.n_phases,
-                   "level": args.level, "K_B": args.K_B}
-    for k, v in flag_params.items():
-        if v is not None:
-            config["params"][k] = v
+    for name in _FLAGS:
+        if getattr(args, name) is not None:
+            config["params"][name] = getattr(args, name)
     for item in args.set:
         if "=" not in item:
             raise ValidationError(f"--set needs KEY=VALUE, got {item!r}")
@@ -503,15 +527,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config, axes = _config_from_args(args)
+        if args.command == "sweep" and not axes:
+            raise ValidationError("sweep needs at least one --axis")
     except SpeclabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code
-    if args.command == "sweep":
-        if not axes:
-            sys.stderr.write("error: sweep needs at least one --axis\n")
-            return 2
-        return sweep(config, axes)
-    return run(config)
+    return sweep(config, axes) if args.command == "sweep" else run(config)
 
 
 if __name__ == "__main__":

@@ -279,27 +279,14 @@ def lyapunov(co: Cocycle, n_iter: int, n_phases: int = 8,
 
 def lyapunov_strip(co: Cocycle, eps_list, n_iter: int, n_phases: int = 8,
                    seed: int = 0) -> list:
-    """One Lyapunov run per phase-complexification epsilon.
-
-    Convexity of L(eps) is reported (attached as .convex on the list),
-    not enforced.
-    """
+    """One Lyapunov run per phase-complexification epsilon."""
     out = []
     for eps in eps_list:
         co_eps = Cocycle(co.model, co.energy, co.kind, float(eps),
                          co.entries, co.mod_c)
         co_eps._check_strip(eps)
         out.append(lyapunov(co_eps, n_iter, n_phases, seed))
-    vals = [e.value for e in out]
-    convex = all(vals[i - 1] + vals[i + 1] - 2 * vals[i] >= -1e-6
-                 for i in range(1, len(vals) - 1))
-
-    class _StripResult(list):
-        pass
-
-    res = _StripResult(out)
-    res.convex = convex
-    return res
+    return out
 
 
 def _segment_matrices(co: Cocycle, theta: float, a: int, b: int) -> np.ndarray:

@@ -168,6 +168,25 @@ def _check_aliasing(field: GridField) -> None:
                 "lattice support reaches sites that alias on the x grid")
 
 
+def _exchange(field: GridField, sign: int) -> GridField:
+    """Kernel of u_r (sign +1) and u_r_inv (sign -1): every exponential
+    sum runs over e^{sign 2 pi i ...}."""
+    _check_aliasing(field)
+    N, G = field.N, field.G
+
+    def expsum(a):                                   # sum_k a_k e^{sign..}
+        return np.fft.ifft(a, axis=1) * G if sign > 0 else np.fft.fft(a, axis=1)
+
+    spec = expsum(field.values) / G                 # (sites, freq bins)
+    sites = np.arange(-N, N + 1)
+    # phi[n_idx, p_idx]: x-frequency n of the field at old site p
+    phi = spec[:, np.mod(sites, G)].T
+    shear = np.exp(sign * 2j * np.pi * np.outer(sites, sites * field.alpha))
+    synth = np.zeros((2 * N + 1, G), dtype=complex)
+    synth[:, np.mod(sites, G)] = phi * shear         # synth coeffs in x
+    return GridField(expsum(synth), field.alpha)
+
+
 def u_r(field: GridField) -> GridField:
     """Duality transform psi(x, n) -> hat psi(n, x + alpha n).
 
@@ -175,35 +194,12 @@ def u_r(field: GridField) -> GridField:
     an x-frequency with a shear factor; exact for fields band-limited to
     |frequency| <= N with N within the grid budget.
     """
-    _check_aliasing(field)
-    N, G = field.N, field.G
-    spec = _x_spectrum(field)                       # (sites, freq bins)
-    sites = np.arange(-N, N + 1)
-    # phi[n_idx, p_idx]: x-frequency n of the field at old site p
-    phi = spec[:, np.mod(sites, G)].T
-    shear = np.exp(2j * np.pi * np.outer(sites, sites * field.alpha))
-    A = phi * shear                                  # synth coeffs in x
-    cols = np.mod(sites, G)
-    synth = np.zeros((2 * N + 1, G), dtype=complex)
-    synth[:, cols] = A
-    out = np.fft.ifft(synth, axis=1) * G             # sum_p A e^{+2pi i p g/G}
-    return GridField(out, field.alpha)
+    return _exchange(field, +1)
 
 
 def u_r_inv(field: GridField) -> GridField:
     """Inverse duality transform (conjugated kernels)."""
-    _check_aliasing(field)
-    N, G = field.N, field.G
-    spec = np.fft.fft(field.values, axis=1) / G      # coeff of e^{-2pi i nu x}
-    sites = np.arange(-N, N + 1)
-    phi = spec[:, np.mod(sites, G)].T
-    shear = np.exp(-2j * np.pi * np.outer(sites, sites * field.alpha))
-    A = phi * shear
-    cols = np.mod(sites, G)
-    synth = np.zeros((2 * N + 1, G), dtype=complex)
-    synth[:, cols] = A
-    out = np.fft.fft(synth, axis=1)                  # sum_p A e^{-2pi i p g/G}
-    return GridField(out, field.alpha)
+    return _exchange(field, -1)
 
 
 def u_k(field: GridField, k: int) -> GridField:
@@ -318,19 +314,11 @@ def duality_checks(model: JacobiModel, scale: float, dual_reference,
     (Kolmogorov); both with a half-window stability repeat.
     """
     dual = dualize(model)
-
-    def gather(mdl, n, width):
-        pool = []
-        for i in range(n):
-            sd = ops.eigensolve(ops.build(mdl, i / n, width), want_vectors=True)
-            pool.append(sd.eigenvalues[ops.interior_indices(sd)])
-        return np.sort(np.concatenate(pool))
-
     out = {}
     for label, width in (("full", N), ("half", N // 2)):
-        a = gather(model, n_phases, width)
-        b = gather(dual_reference, n_phases, width)
-        d = gather(dual, n_phases, width)
+        a = ops.spectrum_proxy(model, width, n_phases)
+        b = ops.spectrum_proxy(dual_reference, width, n_phases)
+        d = ops.spectrum_proxy(dual, width, n_phases)
         out[label] = (ops.hausdorff_distance(a, scale * b),
                       ops.kolmogorov_distance(a, d))
     return DualityReport(out["full"][0], out["half"][0],

@@ -161,6 +161,7 @@ def transition_experiment(lam, alpha_cf: ContinuedFraction, N: int,
 
     rates, r2s, iprs = [], [], []
     energy_pool = []
+    rejected = 0            # fits refused: peak near the edge, range too short
     for theta in thetas:
         sd = ops.eigensolve(ops.build(model, float(theta), N), want_vectors=True)
         keep = ops.interior_indices(sd)
@@ -172,7 +173,8 @@ def transition_experiment(lam, alpha_cf: ContinuedFraction, N: int,
                 continue
             try:
                 rate, r2 = ops.decay_rate(sd, idx)
-            except Exception:
+            except ValidationError:
+                rejected += 1
                 continue
             rates.append(rate)
             r2s.append(r2)
@@ -222,7 +224,7 @@ def transition_experiment(lam, alpha_cf: ContinuedFraction, N: int,
         "beta": beta_est.value,
         "verdict": verdict,
         "decay": {"median": decay_median, "iqr": _iqr(rates),
-                  "r2_median": r2_median},
+                  "r2_median": r2_median, "rejected": rejected},
         "ipr": {"median": ipr_median, "iqr": _iqr(iprs)},
         "gordon": gordon,
         "thresholds": th,

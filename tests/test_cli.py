@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from speclab import cli
 
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -30,10 +32,44 @@ def test_beta_run_writes_artifacts(tmp_path):
         "level,ln_q_next_over_q")
 
 
-def test_malformed_lambda_exits_2(tmp_path):
-    r = run_cli(["winding", "--lambda", "0.1,0.5", "--out-dir",
-                 str(tmp_path)])
-    assert r.returncode == 2
+LAM = ["--lambda", "0.1,0.5,0.2"]
+MALFORMED = {
+    "short-lambda": ["winding", "--lambda", "0.1,0.5"],
+    "winding-no-lambda": ["winding"],
+    "beta-no-alpha": ["beta"],
+    "bad-alpha": ["beta", "--alpha", "foo"],
+    "bad-depth": ["beta", "--alpha", "golden", "--set", "depth=abc"],
+    "bad-n_iter": ["lyapunov", *LAM, "--set", "n_iter=abc"],
+    "bad-n_e": ["ids", *LAM, "--set", "n_e=x"],
+    "bad-theta": ["gordon", *LAM, "--set", "theta=abc"],
+    "non-numeric-lambda": ["lyapunov", "--lambda", "a,b,c"],
+    "bad-rhs_mode": ["cohomology", "--set", "rhs_mode=8101"],
+    "bad-l13": ["atlas", "--set", "l13=1:2"],
+    "bad-thresholds": ["transition", *LAM, "--set", "thresholds=3"],
+    "missing-config": ["beta", "--alpha", "golden",
+                       "--config", "/nonexistent.json"],
+    "axis-without-values": ["sweep", "--axis", "depth"],
+}
+
+
+@pytest.mark.parametrize("args", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_input_exits_2(args, tmp_path, capsys):
+    code = cli.main(args + ["--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_manifest_records_defaults_and_hash_ignores_them(tmp_path):
+    assert cli.main(["beta", "--alpha", "golden",
+                     "--out-dir", str(tmp_path / "a")]) == 0
+    assert cli.main(["beta", "--alpha", "golden", "--set", "depth=30",
+                     "--out-dir", str(tmp_path / "b")]) == 0
+    a, b = (json.loads((tmp_path / d / "manifest.json").read_text())
+            for d in "ab")
+    assert a["config"]["params"] == {"alpha": "golden", "depth": 30,
+                                     "window": None}
+    assert a["config_hash"] == b["config_hash"]
 
 
 def test_unknown_param_exits_2(tmp_path):
@@ -84,6 +120,7 @@ def test_transition_smoke_via_cli(tmp_path):
     for key in ("lambda", "region", "L_lambda", "beta", "verdict", "decay",
                 "ipr", "gordon", "provenance"):
         assert key in rep
+    assert rep["decay"]["rejected"] >= 0
 
 
 def test_sweep_determinism_and_resume(tmp_path):
@@ -120,6 +157,30 @@ def test_sweep_determinism_and_resume(tmp_path):
     statuses = [row.split(",")[-1] for row in rows]
     assert statuses.count("skipped") == 3
     assert statuses.count("ok") == 1
+
+
+def test_sweep_exits_with_worst_point(tmp_path):
+    # grid=512 is below the winding certificate's minimum grid
+    code = cli.sweep({"command": "winding",
+                      "params": {"lambda": "0.6,0.2,0.1"},
+                      "out_dir": str(tmp_path)}, {"grid": [512, 4096]})
+    assert code == 2
+    rows = (tmp_path / "index.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["exit2", "ok"]
+
+
+def test_unexpected_error_writes_manifest_and_propagates(tmp_path,
+                                                         monkeypatch):
+    def boom(p, seed, out_dir):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "beta", (boom, cli.COMMANDS["beta"][1]))
+    with pytest.raises(RuntimeError):
+        cli.run({"command": "beta", "params": {"alpha": "golden"},
+                 "out_dir": str(tmp_path)})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"] == "RuntimeError: boom"
 
 
 def test_run_api_matches_subprocess(tmp_path):

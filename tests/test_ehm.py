@@ -138,6 +138,17 @@ def test_transition_smoke_sc_side():
     assert report["gordon"][-1]["pass_rate"] >= 0.9
 
 
+def test_transition_decay_fit_bug_propagates(golden, monkeypatch):
+    # only the expected fit refusals (ValidationError) are counted and
+    # skipped; anything else is a bug and must surface
+    def broken(sd, index):
+        raise RuntimeError("bug in the fit")
+
+    monkeypatch.setattr(ops, "decay_rate", broken)
+    with pytest.raises(RuntimeError):
+        ehm.transition_experiment((0.1, 0.5, 0.2), golden, N=100, n_phases=1)
+
+
 def test_transition_region_two_rejected(golden):
     with pytest.raises(NotRegionOne):
         ehm.transition_experiment((0.4, 2.0, 0.2), golden, N=200)
