@@ -65,24 +65,36 @@ def parse_alpha(spec: str, depth: int = 40) -> dio.ContinuedFraction:
         raise ValidationError(f"bad alpha {s!r}: {exc}") from None
 
 
-def _count(v) -> int:
-    """A non-negative integer, also when written as a float ("1e5")."""
+def _count(v, least: int = 1) -> int:
+    """An integer >= least, also when written as a float ("1e5")."""
     f = float(v)
-    if f < 0 or not f.is_integer():
-        raise ValueError(f"{v!r} is not a non-negative integer")
+    if f < least or not f.is_integer():
+        raise ValueError(f"{v!r} is not an integer >= {least}")
     return int(f)
+
+
+def _natural(v) -> int:
+    """A count for which zero is meaningful (a seed, a constant conjugacy)."""
+    return _count(v, 0)
 
 
 _bool = {True: True, False: False, "true": True, "false": False}.__getitem__
 
 
+# _grid and _mode also take the resolved lists that a manifest records,
+# so that cli.run(manifest["config"]) runs again
+
 def _grid(spec) -> list:
+    """lo:hi:n, or a non-empty list of values."""
+    if isinstance(spec, (list, tuple)) and spec:
+        return [float(v) for v in spec]
     lo, hi, n = str(spec).split(":")
     return np.linspace(float(lo), float(hi), _count(n)).tolist()
 
 
 def _mode(spec) -> tuple:
-    k, amp = str(spec).split(":")
+    """k:amp, or [k, amp]."""
+    k, amp = spec if isinstance(spec, (list, tuple)) else str(spec).split(":")
     return int(k), float(amp)
 
 
@@ -299,7 +311,7 @@ COMMANDS = {
         **_MODEL, "lambda": (parse_lambda, None), "k_out": (_count, 48),
         "rhs_mode": (_mode, None)}),
     "conjugacy": (_cmd_conjugacy, {
-        **_MODEL, "energy": (float, None), "K_B": (_count, 64),
+        **_MODEL, "energy": (float, None), "K_B": (_natural, 64),
         "grid": (_count, 1024), "n_iter": (_count, 400_000), "tau": (float, 2.0),
         "m_max": (_count, 10_000), "eigenvector": (_bool, False)}),
     "gordon": (_cmd_gordon, {
@@ -346,7 +358,8 @@ def _validate(config: dict) -> dict:
     if threads == "auto":
         threads = os.environ.get("SPECLAB_THREADS", 1)
     try:
-        seed, threads = _count(config.get("seed", 0)), max(1, _count(threads))
+        seed = _natural(config.get("seed", 0))
+        threads = max(1, _natural(threads))
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"bad seed or threads: {exc}") from None
     return {"command": cmd, "params": params, "seed": seed,

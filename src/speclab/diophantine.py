@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
+
 from .errors import (
     ContractViolation,
     InsufficientDepth,
@@ -195,23 +197,26 @@ def _per_level(cf: ContinuedFraction) -> list:
     return [math.log(cf.q[n + 1]) / cf.q[n] for n in range(len(cf.q) - 1)]
 
 
-def beta(cf: ContinuedFraction, window: int | None = None) -> BetaEstimate:
-    """max of ln(q_{n+1})/q_n over a trailing window (finite limsup surrogate).
+def _trailing_max(levels: list, window: int | None) -> float:
+    """max over the last `window` levels (finite limsup surrogate);
+    window=None keeps every level after n=3 (all levels when fewer exist)."""
+    if window is not None:
+        return max(levels[-window:])
+    return max(levels[3:] if len(levels) > 3 else levels)
 
-    window=None keeps every level after n=3 (all levels when fewer exist).
+
+def beta(cf: ContinuedFraction, window: int | None = None) -> BetaEstimate:
+    """max of ln(q_{n+1})/q_n over a trailing window (see _trailing_max).
+
     The full per-level sequence is reported so non-convergence is visible.
     """
     levels = _per_level(cf)
-    if window is None:
-        tail = levels[3:] if len(levels) > 3 else levels
-    else:
-        if cf.depth < window + 2:
-            raise InsufficientDepth(
-                f"need at least {window + 2} convergents, have {cf.depth}")
-        tail = levels[-window:]
-    if not tail:
+    if window is not None and cf.depth < window + 2:
+        raise InsufficientDepth(
+            f"need at least {window + 2} convergents, have {cf.depth}")
+    if not levels:
         raise InsufficientDepth("need at least 2 convergents")
-    return BetaEstimate(max(tail), cf.depth, tuple(levels))
+    return BetaEstimate(_trailing_max(levels, window), cf.depth, tuple(levels))
 
 
 def _exp_int(x: float) -> int:
@@ -285,16 +290,27 @@ def check_theta(cf: ContinuedFraction, theta: float, singular_phases,
                 k_range: int) -> None:
     """Semi-decision that theta avoids the singular orbits theta_j + Z alpha + Z.
 
-    Scans |k| <= k_range (capped at 1e5) with exact arithmetic against the
-    deep-convergent proxy; tolerance 1e-12.
+    Scans |k| <= k_range (capped at 1e5) against the deep-convergent proxy
+    p/q; tolerance 1e-12. The residues k*p mod q are exact integers, a
+    float screen with a 1e-14 margin (far above its rounding error) keeps
+    the candidate k, and each candidate is decided in exact rationals, in
+    the order phase by phase and k upwards.
     """
     k_range = min(int(k_range), 100_000)
     pr = cf.proxy
+    p, q = pr.numerator, pr.denominator
     tol = Fraction(_SINGULAR_ORBIT_TOL)
+    if k_range * p < 2**63 and q < 2**63:
+        ks = np.arange(-k_range, k_range + 1, dtype=np.int64)
+        x = (ks * p % q) / q
+    else:
+        x = np.array([(k * p) % q / q for k in range(-k_range, k_range + 1)])
     th = Fraction(theta)
     for tj in singular_phases:
-        d0 = th - Fraction(tj)
-        for k in range(-k_range, k_range + 1):
+        d0 = (th - Fraction(tj)) % 1
+        y = float(d0) - x
+        near = np.abs(y - np.rint(y)) < _SINGULAR_ORBIT_TOL + 1e-14
+        for k in (np.flatnonzero(near) - k_range).tolist():
             if _frac_norm(d0 - k * pr) < tol:
                 raise ThetaInSingularOrbit(
                     f"theta within {_SINGULAR_ORBIT_TOL} of phase {tj} + {k}*alpha")
@@ -305,20 +321,16 @@ def delta_c(cf: ContinuedFraction, theta: float, singular_phases,
     """Phase-refined growth exponent: max over levels n <= depth of
     (sum_j ln dist(q_n (theta - theta_j), Z) + ln q_{n+1}) / q_n.
 
-    Uses the same trailing-window convention as beta(), applied to the
-    levels up to `depth`, so with no singular phases and depth covering
+    Uses the same trailing-window rule as beta() (_trailing_max), applied
+    to the levels up to `depth`, so with no singular phases and depth covering
     the full expansion the result equals beta bit-for-bit. Per-level
     values are accessible via delta_c_levels().
     """
     levels = delta_c_levels(cf, theta, singular_phases, depth)
-    if window is None:
-        tail = levels[3:] if len(levels) > 3 else levels
-    else:
-        if window > len(levels):
-            raise InsufficientDepth(
-                f"window {window} exceeds {len(levels)} computed levels")
-        tail = levels[-window:]
-    return max(tail)
+    if window is not None and window > len(levels):
+        raise InsufficientDepth(
+            f"window {window} exceeds {len(levels)} computed levels")
+    return _trailing_max(levels, window)
 
 
 def delta_c_levels(cf: ContinuedFraction, theta: float, singular_phases,
@@ -352,14 +364,19 @@ def dc_membership(cf: ContinuedFraction, phi: float, tau: float,
         raise ValidationError("tau must exceed 1")
     if m_max < 1:
         raise ValidationError("m_max must be >= 1")
+    # dist(2 phi - s p/q, Z) = min(r, den - r) / den with the integer
+    # r = (a q - s p b) mod den, where 2 phi = a/b and den = b q; one
+    # correctly rounded division gives the float of the exact distance
     pr = cf.proxy
-    two_phi = Fraction(phi) * 2
+    a, b = (Fraction(phi) * 2).as_integer_ratio()
+    den = b * pr.denominator
+    aq, pb = a * pr.denominator, pr.numerator * b
     best = math.inf
     for m in range(1, m_max + 1):
         w = float((1 + m)) ** tau
         for s in (m, -m):
-            d = float(_frac_norm(two_phi - s * pr))
-            v = d * w
+            r = (aq - s * pb) % den
+            v = min(r, den - r) / den * w
             if v < best:
                 best = v
     return best

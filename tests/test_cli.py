@@ -49,6 +49,8 @@ MALFORMED = {
     "missing-config": ["beta", "--alpha", "golden",
                        "--config", "/nonexistent.json"],
     "axis-without-values": ["sweep", "--axis", "depth"],
+    "zero-n_phases": ["duality-check", *LAM, "--N", "10", "--n-phases", "0"],
+    "zero-n_iter": ["rotation", *LAM, "--n-iter", "0", "--set", "n_e=2"],
 }
 
 
@@ -70,6 +72,19 @@ def test_manifest_records_defaults_and_hash_ignores_them(tmp_path):
     assert a["config"]["params"] == {"alpha": "golden", "depth": 30,
                                      "window": None}
     assert a["config_hash"] == b["config_hash"]
+
+
+@pytest.mark.parametrize("args", [
+    ["atlas", "--set", "l13=0.1:1.4:3"],
+    ["cohomology", "--set", "rhs_mode=3:0.5"],
+], ids=["atlas", "cohomology-rhs_mode"])
+def test_manifest_config_runs_again(args, tmp_path):
+    assert cli.main(args + ["--out-dir", str(tmp_path / "a")]) == 0
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    config = dict(manifest["config"], out_dir=str(tmp_path / "b"))
+    assert cli.run(config) == 0
+    assert (tmp_path / "a" / "result.json").read_bytes() == \
+        (tmp_path / "b" / "result.json").read_bytes()
 
 
 def test_unknown_param_exits_2(tmp_path):

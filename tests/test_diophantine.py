@@ -198,3 +198,125 @@ def test_json_roundtrip_fields():
     blob = cf.to_json()
     assert blob["quotients"] == [1] * 9
     assert [int(x) for x in blob["q"]][:5] == [1, 2, 3, 5, 8]
+
+
+# ---------------------------------------------------------------------------
+# the integer scans against the Fraction loops they replaced
+# ---------------------------------------------------------------------------
+
+def _check_theta_oracle(cf, theta, singular_phases, k_range):
+    """The exact Fraction loop of check_theta: its message, or None."""
+    k_range = min(int(k_range), 100_000)
+    pr = cf.proxy
+    th = Fraction(theta)
+    for tj in singular_phases:
+        d0 = th - Fraction(tj)
+        for k in range(-k_range, k_range + 1):
+            if dio._frac_norm(d0 - k * pr) < Fraction(1e-12):
+                return f"theta within 1e-12 of phase {tj} + {k}*alpha"
+    return None
+
+
+def _check_theta_message(cf, theta, singular_phases, k_range):
+    try:
+        dio.check_theta(cf, theta, singular_phases, k_range)
+    except ThetaInSingularOrbit as exc:
+        return str(exc)
+    return None
+
+
+def _dc_membership_oracle(cf, phi, tau, m_max):
+    """The Fraction loop of dc_membership."""
+    pr = cf.proxy
+    two_phi = Fraction(phi) * 2
+    best = math.inf
+    for m in range(1, m_max + 1):
+        w = float((1 + m)) ** tau
+        for s in (m, -m):
+            best = min(best, float(dio._frac_norm(two_phi - s * pr)) * w)
+    return best
+
+
+def _on_orbit(cf, tj, k, offset=Fraction(0)):
+    """The float nearest to tj + k*proxy + offset, mod 1."""
+    return float((Fraction(tj) + k * cf.proxy + offset) % 1)
+
+
+# golden40 and sqrt2 reduce k*p mod q in int64; sqrt2_50 (q >= 2^63) and
+# synth (a 582-bit proxy) in Python ints
+SCAN_ALPHAS = {
+    "golden40": lambda: dio.expand("golden", 40),
+    "sqrt2": lambda: dio.expand("sqrt2", 40),
+    "sqrt2_50": lambda: dio.expand("sqrt2", 50),
+    "synth": lambda: dio.synth_alpha(1.0, 4),
+}
+
+
+@pytest.mark.parametrize("name, K", [("golden40", 2000), ("sqrt2", 300),
+                                     ("sqrt2_50", 300), ("synth", 300)])
+def test_check_theta_matches_fraction_loop(name, K):
+    import random
+
+    cf = SCAN_ALPHAS[name]()
+    rng = random.Random(K)
+    tj = rng.random()
+    near = Fraction(1e-12) * Fraction(1, 1000)
+    cases = [rng.random() for _ in range(3)]                  # off orbit
+    cases += [_on_orbit(cf, tj, k) for k in (K, -K, K + 1, -K - 1, 17)]
+    cases += [_on_orbit(cf, tj, k, sign * (Fraction(1e-12) + eps))
+              for k in (-5, 11) for sign in (1, -1) for eps in (-near, near)]
+    for theta in cases:
+        want = _check_theta_oracle(cf, theta, [tj], K)
+        assert _check_theta_message(cf, theta, [tj], K) == want, theta
+    # the cases decide as planted; k = +-(K+1) is not asserted, because
+    # synth's tiny ||q_3 alpha|| (q_3 = 403) brings it back into the scan
+    assert _check_theta_oracle(cf, _on_orbit(cf, tj, -K), [tj], K) is not None
+    assert _check_theta_oracle(cf, _on_orbit(
+        cf, tj, 11, Fraction(1e-12) - near), [tj], K) is not None
+    assert _check_theta_oracle(cf, _on_orbit(
+        cf, tj, 11, Fraction(1e-12) + near), [tj], K) is None
+
+
+def test_check_theta_two_phases_raise_in_scan_order():
+    cf = dio.expand("golden", 40)
+    t1 = 0.237
+    t2 = _on_orbit(cf, t1, 7)
+    theta = _on_orbit(cf, t1, 3)
+    for phases in ([t1, t2], [t2, t1], [0.61, t2]):
+        want = _check_theta_oracle(cf, theta, phases, 400)
+        assert _check_theta_message(cf, theta, phases, 400) == want
+    assert _check_theta_message(cf, theta, [t2, t1], 400).endswith(
+        f"phase {t2} + -4*alpha")
+
+
+def test_check_theta_liouville_first_hit_from_below():
+    # ||q_3 alpha|| ~ e^-403 for synth_alpha(1.0, 4): a phase planted at
+    # k = 100 is hit again at every k = 100 + j q_3 in the scan
+    cf = dio.synth_alpha(1.0, 4)
+    theta = _on_orbit(cf, 0.3, 100)
+    msg = _check_theta_message(cf, theta, [0.3], 2000)
+    assert msg == _check_theta_oracle(cf, theta, [0.3], 2000)
+    assert msg.endswith(f"+ {100 - 5 * cf.q[2]}*alpha")
+
+
+def test_check_theta_full_cap_planted_last():
+    # the transition workload's scale: golden depth 40, |k| <= 1e5
+    cf = dio.expand("golden", 40)
+    theta = _on_orbit(cf, 0.137, 100_000)
+    msg = _check_theta_message(cf, theta, [0.137], cf.q[-1])
+    assert msg == _check_theta_oracle(cf, theta, [0.137], cf.q[-1])
+    assert msg.endswith("+ 100000*alpha")
+
+
+@pytest.mark.parametrize("name", list(SCAN_ALPHAS))
+def test_dc_membership_bit_equal_to_fraction_loop(name):
+    import random
+
+    cf = SCAN_ALPHAS[name]()
+    rng = random.Random(3)
+    phis = [rng.random() for _ in range(4)] + [0.0, 0.25, -0.3, 1.7]
+    phis += [float((k * cf.proxy / 2) % 1) for k in (1, 3, -8)]   # resonant
+    for phi in phis:
+        for tau in (1.5, 2.0):
+            assert dio.dc_membership(cf, phi, tau, 400) == \
+                _dc_membership_oracle(cf, phi, tau, 400), (phi, tau)
