@@ -10,7 +10,7 @@ arithmetic, which keeps the orbit drift below ~1e-12 out to 1e8 steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -124,10 +124,6 @@ class Cocycle:
             if s is not None and abs(eps) > s.strip:
                 raise OutsideStrip(
                     f"epsilon {eps} outside certified strip {s.strip:.5g}")
-
-    def with_energy(self, energy: complex) -> "Cocycle":
-        return Cocycle(self.model, energy, self.kind, self.epsilon,
-                       self.entries, self.mod_c)
 
     def matrices(self, thetas) -> np.ndarray:
         """Stack of cocycle matrices at the given (possibly complex) phases."""
@@ -282,8 +278,7 @@ def lyapunov_strip(co: Cocycle, eps_list, n_iter: int, n_phases: int = 8,
     """One Lyapunov run per phase-complexification epsilon."""
     out = []
     for eps in eps_list:
-        co_eps = Cocycle(co.model, co.energy, co.kind, float(eps),
-                         co.entries, co.mod_c)
+        co_eps = replace(co, epsilon=float(eps))
         co_eps._check_strip(eps)
         out.append(lyapunov(co_eps, n_iter, n_phases, seed))
     return out

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .symbols import zeros_on_torus
 
-_BAND_SOLVER_MAX_BW = 8
 _EDGE_FRACTION = 0.025          # per side; outer 5% of sites in total
 
 
@@ -109,43 +108,43 @@ class SpectralData:
                 a.flags.writeable = False
                 object.__setattr__(self, name, a)
 
-    def rows(self):
-        """CSV rows (index, eigenvalue, boundary_mass); pair with a JSON
-        sidecar of the run parameters."""
-        mass = self.boundary_mass if self.boundary_mass is not None else \
-            np.full(len(self.eigenvalues), float("nan"))
-        return [(i, float(e), float(m))
-                for i, (e, m) in enumerate(zip(self.eigenvalues, mass))]
-
-    def sidecar(self) -> dict:
-        return {"N": self.N, "phase": self.phase,
-                "count": len(self.eigenvalues)}
-
 
 def eigensolve(op: TruncatedOperator, want_vectors: bool = False) -> SpectralData:
     """All eigenvalues (ascending), optionally with normalized vectors and
-    the per-vector mass in the outer 5% of sites."""
+    the per-vector mass in the outer 5% of sites.
+
+    A tridiagonal window H with hopping h_m is solved as the real symmetric
+    matrix with off-diagonal |h_m|: H = G T G^* for the diagonal gauge
+    g_0 = 1, g_(m+1) = g_m conj(h_m)/|h_m| (factor 1 where h_m = 0), so the
+    vectors of H are g v. Wider bands go to the banded solver.
+    """
+    bw = min(op.bandwidth, op.size - 1)     # a window holds size-1 off-diagonals
+    band = op.band[op.bandwidth - bw:]
+    vecs = None
     try:
-        if op.bandwidth <= _BAND_SOLVER_MAX_BW and op.size > 64:
+        if bw <= 1:
+            d = band[bw].real
+            h = band[0, 1:] if bw else band[0, :0]
+            a = np.abs(h)
             if want_vectors:
-                w, vecs = scipy.linalg.eig_banded(op.band, lower=False)
+                w, v = scipy.linalg.eigh_tridiagonal(d, a)
+                unit = np.conj(h) / np.where(a > 0, a, 1.0)
+                unit[a == 0] = 1.0
+                g = np.concatenate(([1.0], np.cumprod(unit)))
+                vecs = g[:, None] * v
             else:
-                w = scipy.linalg.eigvals_banded(op.band, lower=False)
-                vecs = None
+                w = scipy.linalg.eigh_tridiagonal(d, a, eigvals_only=True)
+        elif want_vectors:
+            w, vecs = scipy.linalg.eig_banded(band, lower=False)
         else:
-            dense = op.dense()
-            if want_vectors:
-                w, vecs = np.linalg.eigh(dense)
-            else:
-                w = np.linalg.eigvalsh(dense)
-                vecs = None
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+            w = scipy.linalg.eigvals_banded(band, lower=False)
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     mass = None
     if vecs is not None:
         edge = max(1, round(_EDGE_FRACTION * op.size))
-        prob = np.abs(vecs) ** 2
-        mass = prob[:edge].sum(axis=0) + prob[-edge:].sum(axis=0)
+        mass = (np.abs(vecs[:edge]) ** 2).sum(axis=0) + \
+            (np.abs(vecs[-edge:]) ** 2).sum(axis=0)
     return SpectralData(w, vecs, op.N, op.phase, mass)
 
 
@@ -190,7 +189,7 @@ class IdsCurve:
 def ids(model, E_grid, N: int, n_phases: int = 8, seed: int = 0) -> IdsCurve:
     """Phase-averaged eigenvalue counting function on the energy grid.
 
-    Boundary-dominated states (over 1% mass in the outer 5% of sites) are
+    States that `interior_indices` flags as boundary-dominated are
     discarded from the count; the curve is nondecreasing with limits 0/1.
     """
     rng = np.random.default_rng(seed)
@@ -216,10 +215,11 @@ def spectrum_proxy(model, N: int, n_theta: int = 64) -> np.ndarray:
 def spectrum_samples(model, count: int, N: int = 1000,
                      n_theta: int = 8) -> np.ndarray:
     """Energies operationally inside the spectrum: interior eigenvalues of
-    a size-(2N+1) truncation, picked at evenly spaced quantiles."""
+    size-(2N+1) truncations, picked at evenly spaced quantiles (each one an
+    element of `spectrum_proxy`, never a point between two of them)."""
     proxy = spectrum_proxy(model, N, n_theta)
     qs = (np.arange(count) + 0.5) / count
-    return np.quantile(proxy, qs)
+    return np.quantile(proxy, qs, method="nearest")
 
 
 def hausdorff_distance(a, b) -> float:
@@ -253,42 +253,34 @@ def decay_rate(sd: SpectralData, index: int) -> tuple:
 
     Fits ln|u_n| against the distance from the peak over the middle 60%
     of the usable decay range (above the eigensolver noise floor); returns
-    (rate, r_squared).
+    (rate, r_squared). A range shorter than four distances, or with fewer
+    than two distances above the floor, raises ValidationError.
     """
     if sd.eigenvectors is None:
         raise ValidationError("eigenvectors not computed")
     u = np.abs(sd.eigenvectors[:, index])
     M = len(u)
     peak = int(np.argmax(u))
-    if min(peak, M - 1 - peak) < sd.N / 2:
+    d_max = min(peak, M - 1 - peak)
+    if d_max < sd.N / 2:
         raise PeakNearBoundary(f"peak at site index {peak} of {M}")
     floor = max(1e-300, 1e-13 * float(u[peak]))
-    d_max = min(peak, M - 1 - peak)
-    profile = np.empty(d_max + 1)
-    for d in range(d_max + 1):
-        lo = u[peak - d]
-        hi = u[peak + d]
-        profile[d] = max(lo, hi)
-    above = np.nonzero(profile > floor)[0]
+    # column 0 holds u[peak - d], column 1 holds u[peak + d], for d = 0..d_max
+    pairs = np.column_stack([u[peak::-1][:d_max + 1], u[peak:peak + d_max + 1]])
+    above = np.nonzero(pairs.max(axis=1) > floor)[0]
     d_stop = int(above[-1]) if len(above) else 0
     lo_d, hi_d = int(math.ceil(0.2 * d_stop)), int(math.floor(0.8 * d_stop))
-    if hi_d - lo_d < 3:
+    window = pairs[lo_d:hi_d + 1]
+    keep = window > floor
+    x = np.broadcast_to(np.arange(lo_d, hi_d + 1.0)[:, None], window.shape)[keep]
+    if hi_d - lo_d < 3 or len(x) == 0 or x[0] == x[-1]:
         raise ValidationError("decay range too short for a fit")
-    xs, ys = [], []
-    for d in range(lo_d, hi_d + 1):
-        for n in (peak - d, peak + d):
-            if u[n] > floor:
-                xs.append(d)
-                ys.append(math.log(u[n]))
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys)
-    A = np.vstack([x, np.ones_like(x)]).T
-    (slope, _), res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    ss_res = float(res[0]) if len(res) else float(
-        np.sum((y - A @ np.linalg.lstsq(A, y, rcond=None)[0]) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(-slope), float(r2)
+    y = np.log(window[keep])
+    x = x - x.mean()
+    y = y - y.mean()
+    sxx, sxy, syy = x @ x, x @ y, y @ y
+    r2 = sxy * sxy / (sxx * syy) if syy > 0 else 0.0
+    return float(-sxy / sxx), float(r2)
 
 
 def ipr(sd: SpectralData, index: int) -> float:

@@ -81,9 +81,6 @@ class TorusSymbol:
         """Values on the uniform real grid theta_g = g/grid."""
         return self.eval(np.arange(grid) / grid)
 
-    def sup_norm_grid(self, grid: int = 4096) -> float:
-        return float(np.max(np.abs(self.on_grid(grid))))
-
     def conj_reversal(self) -> "TorusSymbol":
         """The symbol theta -> conj(self(theta)) on the real torus."""
         return TorusSymbol(np.conj(self.coeffs[::-1]), self.half_phase,

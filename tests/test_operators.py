@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from speclab import cocycles as coc
+from speclab import duality as dua
 from speclab import ehm
 from speclab import operators as ops
 from speclab import symbols as sym
-from speclab.errors import InsufficientDepth, PeakNearBoundary
+from speclab.errors import (InsufficientDepth, PeakNearBoundary,
+                            ValidationError)
 
 
 def free_model(golden):
@@ -71,6 +74,69 @@ def test_eigensolve_residual_contract(golden, ehm_112):
     assert np.all(np.diff(sd.eigenvalues) >= 0)
 
 
+def _edge_mass(vecs):
+    edge = max(1, round(0.025 * vecs.shape[0]))
+    prob = np.abs(vecs) ** 2
+    return prob[:edge].sum(axis=0) + prob[-edge:].sum(axis=0)
+
+
+def test_tridiagonal_route_matches_banded_oracle(golden, ehm_112):
+    amo = ehm.amo_model(2.0, golden)
+    models = {"ehm": ehm_112, "amo": amo,
+              "ehm dual": dua.dualize(ehm_112), "amo dual": dua.dualize(amo)}
+    for name, model in models.items():
+        op = ops.build(model, 0.23, 150)
+        assert op.bandwidth == 1, name
+        w, v = scipy.linalg.eig_banded(op.band, lower=False)
+        sd = ops.eigensolve(op, want_vectors=True)
+        tol = 1e-12 * op.norm_bound()
+        assert np.max(np.abs(sd.eigenvalues - w)) < tol, name
+        assert np.max(np.abs(ops.eigensolve(op).eigenvalues - w)) < tol, name
+        assert np.max(np.abs(sd.boundary_mass - _edge_mass(v))) < tol, name
+        assert np.iscomplexobj(sd.eigenvectors) == np.iscomplexobj(op.band)
+
+
+def test_zero_hopping_keeps_residual_contract():
+    rng = np.random.default_rng(4)
+    N = 20
+    M = 2 * N + 1
+    for dtype in (float, complex):
+        band = np.zeros((2, M), dtype=dtype)
+        band[1] = rng.normal(size=M)
+        band[0, 1:] = rng.normal(size=M - 1)
+        if dtype is complex:
+            band[0, 1:] = band[0, 1:] * np.exp(2j * np.pi * rng.random(M - 1))
+        band[0, 12] = 0.0                     # H[11, 12] = 0 splits the chain
+        op = ops.TruncatedOperator(None, 0.0, N, band)
+        sd = ops.eigensolve(op, want_vectors=True)
+        vecs = sd.eigenvectors
+        res = np.linalg.norm(op.dense() @ vecs - vecs * sd.eigenvalues, axis=0)
+        assert float(np.max(res)) < 1e-8 * op.norm_bound()
+        assert np.max(np.abs(np.linalg.norm(vecs, axis=0) - 1)) < 1e-10
+        assert np.all(np.diff(sd.eigenvalues) >= 0)
+        assert vecs.dtype == np.dtype(dtype)
+
+
+def test_bandwidth_two_dual_matches_dense(golden):
+    # an order-2 potential makes the dual family pentadiagonal
+    pot = sym.from_dict({-2: 0.4, -1: 1.0, 1: 1.0, 2: 0.4})
+    model = coc.JacobiModel(ehm.hopping_symbol((0.1, 0.5, 0.2), golden.value),
+                            pot, golden)
+    dual = dua.dualize(model)
+    assert dual.bandwidth == 2
+    for N in (0, 1, 40):
+        op = ops.build(dual, 0.31, N)
+        w, v = np.linalg.eigh(op.dense())
+        tol = 1e-12 * op.norm_bound()
+        sd = ops.eigensolve(op, want_vectors=True)
+        assert np.max(np.abs(sd.eigenvalues - w)) < tol
+        assert np.max(np.abs(ops.eigensolve(op).eigenvalues - w)) < tol
+        res = np.linalg.norm(op.dense() @ sd.eigenvectors -
+                             sd.eigenvectors * sd.eigenvalues, axis=0)
+        assert float(np.max(res)) < 1e-8 * op.norm_bound()
+        assert np.max(np.abs(sd.boundary_mass - _edge_mass(v))) < 1e-10
+
+
 def test_covariance_of_windows(golden, ehm_112):
     # interior Rayleigh quotients of shifted windows agree
     N = 60
@@ -118,6 +184,73 @@ def test_decay_rate_synthetic_exponential(golden):
     rate, r2 = ops.decay_rate(sd, 0)
     assert rate == pytest.approx(0.7, abs=1e-6)
     assert r2 > 0.999
+
+
+def _loop_decay_rate(sd, index):
+    """The site-by-site decay fit, kept as an oracle."""
+    if sd.eigenvectors is None:
+        raise ValidationError("eigenvectors not computed")
+    u = np.abs(sd.eigenvectors[:, index])
+    M = len(u)
+    peak = int(np.argmax(u))
+    if min(peak, M - 1 - peak) < sd.N / 2:
+        raise PeakNearBoundary(f"peak at site index {peak} of {M}")
+    floor = max(1e-300, 1e-13 * float(u[peak]))
+    d_max = min(peak, M - 1 - peak)
+    profile = np.empty(d_max + 1)
+    for d in range(d_max + 1):
+        profile[d] = max(u[peak - d], u[peak + d])
+    above = np.nonzero(profile > floor)[0]
+    d_stop = int(above[-1]) if len(above) else 0
+    lo_d, hi_d = int(math.ceil(0.2 * d_stop)), int(math.floor(0.8 * d_stop))
+    if hi_d - lo_d < 3:
+        raise ValidationError("decay range too short for a fit")
+    xs, ys = [], []
+    for d in range(lo_d, hi_d + 1):
+        for n in (peak - d, peak + d):
+            if u[n] > floor:
+                xs.append(d)
+                ys.append(math.log(u[n]))
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys)
+    A = np.vstack([x, np.ones_like(x)]).T
+    (slope, _), res, _, _ = np.linalg.lstsq(A, y, rcond=None)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    ss_res = float(res[0]) if len(res) else float(
+        np.sum((y - A @ np.linalg.lstsq(A, y, rcond=None)[0]) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    return float(-slope), float(r2)
+
+
+def test_decay_rate_matches_loop_oracle(golden, ehm_112):
+    fits = 0
+    for model in (ehm_112, dua.dualize(ehm.amo_model(2.0, golden))):
+        sd = ops.eigensolve(ops.build(model, 0.37, 300), want_vectors=True)
+        for idx in range(len(sd.eigenvalues)):
+            try:
+                expect = _loop_decay_rate(sd, idx)
+            except ValidationError as exc:
+                with pytest.raises(type(exc)):
+                    ops.decay_rate(sd, idx)
+                continue
+            rate, r2 = ops.decay_rate(sd, idx)
+            assert rate == pytest.approx(expect[0], abs=1e-12)
+            assert r2 == pytest.approx(expect[1], abs=1e-12)
+            fits += 1
+    assert fits > 500
+
+
+def test_decay_rate_single_distance_is_too_short(golden):
+    # inside the fit window only the pair at distance 10 is above the floor
+    N = 40
+    u = np.zeros(2 * N + 1)
+    u[N] = 1.0
+    u[N - 10] = u[N + 10] = 0.5
+    u[N + 30] = 0.1
+    sd = ops.SpectralData(np.array([0.0]), u[:, None], N, 0.0,
+                          np.array([0.0]))
+    with pytest.raises(ValidationError):
+        ops.decay_rate(sd, 0)
 
 
 def test_decay_rate_peak_near_boundary(golden):
@@ -204,3 +337,13 @@ def test_spectrum_samples_inside_hull(golden, ehm_112):
     hull = ehm_112.sup_bound()
     assert np.all(np.abs(E) <= hull)
     assert len(E) == 3
+
+
+@pytest.mark.parametrize("lam,count,N", [((0.3, 0.5, 0.3), 1, 600),
+                                         ((0.1, 0.5, 0.2), 5, 1000)])
+def test_spectrum_samples_are_proxy_eigenvalues(golden, lam, count, N):
+    # an interpolated quantile can land inside a spectral gap
+    model = ehm.ehm_model(lam, golden)
+    E = ops.spectrum_samples(model, count, N=N, n_theta=4)
+    assert len(E) == count
+    assert np.all(np.isin(E, ops.spectrum_proxy(model, N, n_theta=4)))
