@@ -187,19 +187,8 @@ class ScaledMatrix:
     log_scale: float
 
     @property
-    def norm(self) -> float:
-        """2-norm including the scale factor (may be inf for huge products)."""
-        return float(np.exp(self.log_scale) * np.linalg.norm(self.matrix, 2))
-
-    @property
     def log_norm(self) -> float:
         return self.log_scale + math.log(np.linalg.norm(self.matrix, 2))
-
-    def inv(self) -> "ScaledMatrix":
-        m = self.matrix
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-        return ScaledMatrix(adj / det, -self.log_scale)
 
     def apply(self, vec) -> tuple:
         """(matrix @ vec, log_scale) without collapsing the factor."""

@@ -9,9 +9,7 @@ model entrywise.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,26 +119,6 @@ class GridField:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) / self.G))
-
-    def write(self, path) -> None:
-        """Binary format: little-endian uint32 G, uint32 N header, then the
-        complex doubles row-major; a JSON manifest sits alongside."""
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<II", self.G, self.N))
-            fh.write(self.values.astype("<c16").tobytes())
-        with open(str(path) + ".json", "w") as fh:
-            json.dump({"G": self.G, "N": self.N, "alpha": self.alpha,
-                       "layout": "row-major (2N+1, G), little-endian c16"},
-                      fh, indent=1)
-
-    @staticmethod
-    def read(path) -> "GridField":
-        with open(path, "rb") as fh:
-            G, N = struct.unpack("<II", fh.read(8))
-            data = np.frombuffer(fh.read(), dtype="<c16")
-        with open(str(path) + ".json") as fh:
-            manifest = json.load(fh)
-        return GridField(data.reshape(2 * N + 1, G).copy(), manifest["alpha"])
 
 
 def _x_spectrum(field: GridField) -> np.ndarray:
@@ -311,14 +289,15 @@ def duality_checks(model: JacobiModel, scale: float, dual_reference,
     Compares the truncated spectrum of `model` against `scale` times the
     spectrum of `dual_reference` (Hausdorff), and the phase-averaged
     eigenvalue distribution of `model` against that of dualize(model)
-    (Kolmogorov); both with a half-window stability repeat.
+    (Kolmogorov); both with a half-window stability repeat. All six
+    pools use the same n_phases phases, drawn uniformly from `seed`.
     """
     dual = dualize(model)
+    thetas = np.random.default_rng(seed).random(n_phases)
     out = {}
     for label, width in (("full", N), ("half", N // 2)):
-        a = ops.spectrum_proxy(model, width, n_phases)
-        b = ops.spectrum_proxy(dual_reference, width, n_phases)
-        d = ops.spectrum_proxy(dual, width, n_phases)
+        a, b, d = (ops.pooled_spectrum(m, width, thetas)
+                   for m in (model, dual_reference, dual))
         out[label] = (ops.hausdorff_distance(a, scale * b),
                       ops.kolmogorov_distance(a, d))
     return DualityReport(out["full"][0], out["half"][0],

@@ -162,22 +162,13 @@ def transition_experiment(lam, alpha_cf: ContinuedFraction, N: int,
     rates, r2s, iprs = [], [], []
     energy_pool = []
     rejected = 0            # fits refused: peak near the edge, range too short
-    for theta in thetas:
-        sd = ops.eigensolve(ops.build(model, float(theta), N), want_vectors=True)
-        keep = ops.interior_indices(sd)
+    for _, sd, keep in ops.phase_pool(model, N, thetas):
         energy_pool.extend(sd.eigenvalues[keep].tolist())
-        lo, hi = np.percentile(sd.eigenvalues, [25, 75])
-        for idx in keep:
-            iprs.append(ops.ipr(sd, idx))
-            if not (lo <= sd.eigenvalues[idx] <= hi):
-                continue
-            try:
-                rate, r2 = ops.decay_rate(sd, idx)
-            except ValidationError:
-                rejected += 1
-                continue
-            rates.append(rate)
-            r2s.append(r2)
+        iprs.extend(ops.ipr(sd, idx) for idx in keep)
+        more_rates, more_r2s, refused = ops.middle_decay_fits(sd, keep)
+        rates += more_rates
+        r2s += more_r2s
+        rejected += refused
         sd = None
 
     # three-vector escape test at the two largest usable levels

@@ -17,16 +17,23 @@ from .cocycles import (
     finite_product_inv,
     orbit_phases,
 )
-from .diophantine import ContinuedFraction
+from .diophantine import ContinuedFraction, delta_c
 from .errors import (
     ConvergenceFailure,
     InsufficientDepth,
     PeakNearBoundary,
+    ThetaInSingularOrbit,
     ValidationError,
 )
 from .symbols import zeros_on_torus
 
 _EDGE_FRACTION = 0.025          # per side; outer 5% of sites in total
+_EDGE_EXCESS = 3.0              # boundary filter, in uniform edge shares
+
+
+def _edge_sites(M: int) -> int:
+    """Sites per side of the edge region of a size-M window."""
+    return max(1, round(_EDGE_FRACTION * M))
 
 
 @dataclass(frozen=True)
@@ -48,10 +55,6 @@ class TruncatedOperator:
     @property
     def bandwidth(self) -> int:
         return self.band.shape[0] - 1
-
-    @property
-    def sites(self) -> np.ndarray:
-        return np.arange(-self.N, self.N + 1)
 
     def dense(self) -> np.ndarray:
         M = self.size
@@ -142,27 +145,48 @@ def eigensolve(op: TruncatedOperator, want_vectors: bool = False) -> SpectralDat
         raise ConvergenceFailure(str(exc)) from exc
     mass = None
     if vecs is not None:
-        edge = max(1, round(_EDGE_FRACTION * op.size))
+        edge = _edge_sites(op.size)
         mass = (np.abs(vecs[:edge]) ** 2).sum(axis=0) + \
             (np.abs(vecs[-edge:]) ** 2).sum(axis=0)
     return SpectralData(w, vecs, op.N, op.phase, mass)
 
 
-def interior_indices(sd: SpectralData, mass_tol: float | None = None) -> np.ndarray:
+def interior_indices(sd: SpectralData) -> np.ndarray:
     """Indices of states without anomalous weight in the outer 5% of sites.
 
-    The default threshold is three times the uniform-state share of the
-    edge region: extended states carry about the uniform share there while
+    The threshold is three times the uniform-state share of the edge
+    region: extended states carry about the uniform share there while
     truncation-edge artifacts carry order one, so the factor separates the
     two without discarding delocalized spectra.
     """
     if sd.boundary_mass is None:
         raise ValidationError("need eigenvectors to filter boundary states")
-    if mass_tol is None:
-        M = 2 * sd.N + 1
-        edge = max(1, round(_EDGE_FRACTION * M))
-        mass_tol = 3.0 * (2.0 * edge / M)
+    M = 2 * sd.N + 1
+    mass_tol = _EDGE_EXCESS * (2.0 * _edge_sites(M) / M)
     return np.nonzero(sd.boundary_mass <= mass_tol)[0]
+
+
+def phase_pool(model, N: int, thetas):
+    """Yield (theta, SpectralData with vectors, interior indices) for the
+    window [-N, N] at each phase of `thetas`, in order.
+
+    The generator drops each window before it solves the next; a caller
+    that also drops its own reference (`sd = None`) keeps one window of
+    eigenvectors alive at a time.
+    """
+    for theta in np.asarray(thetas, dtype=float):
+        sd = eigensolve(build(model, float(theta), N), want_vectors=True)
+        yield float(theta), sd, interior_indices(sd)
+        del sd
+
+
+def pooled_spectrum(model, N: int, thetas) -> np.ndarray:
+    """Sorted union of the interior eigenvalues of the windows at `thetas`."""
+    pool = []
+    for _, sd, keep in phase_pool(model, N, thetas):
+        pool.append(sd.eigenvalues[keep])
+        sd = None
+    return np.sort(np.concatenate(pool))
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +216,19 @@ def ids(model, E_grid, N: int, n_phases: int = 8, seed: int = 0) -> IdsCurve:
     States that `interior_indices` flags as boundary-dominated are
     discarded from the count; the curve is nondecreasing with limits 0/1.
     """
-    rng = np.random.default_rng(seed)
+    thetas = np.random.default_rng(seed).random(n_phases)
     E = np.asarray(E_grid, dtype=float)
     acc = np.zeros(len(E))
-    for _ in range(n_phases):
-        theta = float(rng.random())
-        sd = eigensolve(build(model, theta, N), want_vectors=True)
-        kept = np.sort(sd.eigenvalues[interior_indices(sd)])
+    for _, sd, keep in phase_pool(model, N, thetas):
+        kept = np.sort(sd.eigenvalues[keep])
+        sd = None
         acc += np.searchsorted(kept, E, side="left") / len(kept)
     return IdsCurve(E, acc / n_phases, n_phases, N)
 
 
 def spectrum_proxy(model, N: int, n_theta: int = 64) -> np.ndarray:
     """Union over a uniform phase grid of interior-state eigenvalues."""
-    pool = []
-    for i in range(n_theta):
-        sd = eigensolve(build(model, i / n_theta, N), want_vectors=True)
-        pool.append(sd.eigenvalues[interior_indices(sd)])
-    return np.sort(np.concatenate(pool))
+    return pooled_spectrum(model, N, np.arange(n_theta) / n_theta)
 
 
 def spectrum_samples(model, count: int, N: int = 1000,
@@ -289,6 +308,28 @@ def ipr(sd: SpectralData, index: int) -> float:
         raise ValidationError("eigenvectors not computed")
     u = np.abs(sd.eigenvectors[:, index]) ** 2
     return float(np.sum(u * u) / np.sum(u) ** 2)
+
+
+def middle_decay_fits(sd: SpectralData, keep) -> tuple:
+    """`decay_rate` of each kept state whose energy lies between the
+    window's 25th and 75th eigenvalue percentiles.
+
+    Returns (rates, r2s, rejected): a fit refused with ValidationError
+    (peak near the edge, range too short) is counted in `rejected`; any
+    other exception propagates.
+    """
+    E = sd.eigenvalues[keep]
+    lo, hi = np.percentile(sd.eigenvalues, [25, 75])
+    rates, r2s, rejected = [], [], 0
+    for idx in keep[(lo <= E) & (E <= hi)]:
+        try:
+            rate, r2 = decay_rate(sd, idx)
+        except ValidationError:
+            rejected += 1
+            continue
+        rates.append(rate)
+        r2s.append(r2)
+    return rates, r2s, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +420,8 @@ def gordon_test(model: JacobiModel, theta: float, E: float,
         lhs = 0.0
         for tj in phases:
             lhs += float(np.sum(np.log(np.abs(z - np.exp(2j * np.pi * tj)))))
-        from .diophantine import delta_c as _delta_c
-        from .errors import ThetaInSingularOrbit
         try:
-            delta = _delta_c(cf, theta, list(phases), depth=cf.depth - 1)
+            delta = delta_c(cf, theta, list(phases), depth=cf.depth - 1)
         except ThetaInSingularOrbit:
             delta = None
         if delta is not None:

@@ -269,20 +269,10 @@ def test_criterion_10_transition(golden40):
     model = ehm.ehm_model(lam, golden40)
     rng = np.random.default_rng(10)
     rates, r2s = [], []
-    for theta in rng.random(32):
-        sd = ops.eigensolve(ops.build(model, float(theta), 2000),
-                            want_vectors=True)
-        keep = ops.interior_indices(sd)
-        lo, hi = np.percentile(sd.eigenvalues, [25, 75])
-        for idx in keep:
-            if not (lo <= sd.eigenvalues[idx] <= hi):
-                continue
-            try:
-                rate, r2 = ops.decay_rate(sd, idx)
-            except Exception:
-                continue
-            rates.append(rate)
-            r2s.append(r2)
+    for _, sd, keep in ops.phase_pool(model, 2000, rng.random(32)):
+        more_rates, more_r2s, _ = ops.middle_decay_fits(sd, keep)
+        rates += more_rates
+        r2s += more_r2s
         sd = None
     decay_median = float(np.median(rates))
     r2_median = float(np.median(r2s))
@@ -294,13 +284,9 @@ def test_criterion_10_transition(golden40):
     lam_sc = (0.1, 0.9, 0.2)
     model_sc = ehm.ehm_model(lam_sc, cfs)
     iprs, pool = [], []
-    for theta in rng.random(6):
-        sd = ops.eigensolve(ops.build(model_sc, float(theta), 2000),
-                            want_vectors=True)
-        keep = ops.interior_indices(sd)
+    for _, sd, keep in ops.phase_pool(model_sc, 2000, rng.random(6)):
         pool.extend(sd.eigenvalues[keep].tolist())
-        for idx in keep:
-            iprs.append(ops.ipr(sd, idx))
+        iprs.extend(ops.ipr(sd, idx) for idx in keep)
         sd = None
     ipr_median = float(np.median(iprs))
     usable = [n for n in range(1, cfs.depth - 1) if cfs.q[n] <= 5000]

@@ -140,9 +140,11 @@ def test_duality_checks_smoke(golden):
     assert rep.kolmogorov < 0.1
 
 
-def test_gridfield_io_roundtrip(tmp_path, field):
-    path = tmp_path / "field.bin"
-    field.write(path)
-    back = dua.GridField.read(path)
-    assert np.array_equal(back.values, field.values)
-    assert back.alpha == field.alpha
+def test_duality_checks_phases_follow_seed(golden):
+    lam = (0.1, 0.5, 0.2)
+    model = ehm.ehm_model(lam, golden)
+    ref = ehm.ehm_model(ehm.sigma(lam), golden)
+    reps = [dua.duality_checks(model, lam[1], ref, N=60, n_phases=2, seed=s)
+            for s in (0, 5, 5)]
+    assert reps[1] == reps[2]
+    assert reps[0] != reps[1]

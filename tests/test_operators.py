@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -347,3 +348,50 @@ def test_spectrum_samples_are_proxy_eigenvalues(golden, lam, count, N):
     E = ops.spectrum_samples(model, count, N=N, n_theta=4)
     assert len(E) == count
     assert np.all(np.isin(E, ops.spectrum_proxy(model, N, n_theta=4)))
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_phase_pool_matches_direct_calls(ehm_112, dual):
+    model = dua.dualize(ehm_112) if dual else ehm_112
+    thetas = np.array([0.7, 0.05, 0.41])
+    got = list(ops.phase_pool(model, 80, thetas))
+    assert [theta for theta, _, _ in got] == thetas.tolist()
+    for theta, sd, keep in got:
+        ref = ops.eigensolve(ops.build(model, theta, 80), want_vectors=True)
+        assert np.array_equal(sd.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(keep, ops.interior_indices(ref))
+    pooled = np.sort(np.concatenate([sd.eigenvalues[k] for _, sd, k in got]))
+    assert np.array_equal(ops.pooled_spectrum(model, 80, thetas), pooled)
+
+
+def test_phase_pool_drops_each_window_before_the_next(ehm_112, monkeypatch):
+    solve, seen = ops.eigensolve, []
+
+    def checked(op, want_vectors=False):
+        assert all(ref() is None for ref in seen), "previous window alive"
+        return solve(op, want_vectors)
+
+    monkeypatch.setattr(ops, "eigensolve", checked)
+    for _, sd, _ in ops.phase_pool(ehm_112, 40, [0.1, 0.2, 0.3]):
+        seen.append(weakref.ref(sd))
+        sd = None
+    assert len(seen) == 3
+
+
+def test_middle_decay_fits_matches_state_loop(ehm_112):
+    sd = ops.eigensolve(ops.build(ehm_112, 0.42, 300), want_vectors=True)
+    keep = ops.interior_indices(sd)
+    lo, hi = np.percentile(sd.eigenvalues, [25, 75])
+    rates, r2s, rejected = [], [], 0
+    for idx in keep:
+        if not lo <= sd.eigenvalues[idx] <= hi:
+            continue
+        try:
+            rate, r2 = ops.decay_rate(sd, idx)
+        except ValidationError:
+            rejected += 1
+            continue
+        rates.append(rate)
+        r2s.append(r2)
+    assert rates and rejected
+    assert ops.middle_decay_fits(sd, keep) == (rates, r2s, rejected)
