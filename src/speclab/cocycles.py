@@ -4,7 +4,10 @@ Products are evaluated in blocks: each block of matrices is built with
 vectorized symbol evaluation and reduced by pairwise multiplication with
 per-level rescaling, so growth rates up to several nats per step never
 overflow. Orbit phases are re-anchored once per block with exact rational
-arithmetic, which keeps the orbit drift below ~1e-12 out to 1e8 steps.
+arithmetic, which keeps the drift from the orbit of the proxy p/q below
+~1e-12 out to 1e8 steps. Against alpha the proxy itself is off by
+k |alpha - p/q|, about 1.6e-9 at k = 1e8 for golden depth 40: the root of
+the open `check_theta` item in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ def orbit_phases(alpha: ContinuedFraction | Fraction, theta0, k0: int,
 
     theta0 may be a scalar or a vector of phases; the anchor for each block
     is computed with exact rational arithmetic so the double-precision
-    drift never exceeds the in-block accumulation.
+    drift from the proxy's orbit never exceeds the in-block accumulation;
+    the proxy's own error is in the module docstring.
     """
     proxy = alpha.proxy if isinstance(alpha, ContinuedFraction) else alpha
     af = float(proxy)
@@ -86,6 +90,23 @@ def orbit_phases(alpha: ContinuedFraction | Fraction, theta0, k0: int,
     return out
 
 
+def _normalized_step(model: JacobiModel, th: np.ndarray,
+                     mod_c: TorusSymbol | None = None) -> tuple:
+    """(a, b, v, s) of the normalized step [[(E - v)/s, -b/s], [a/s, 0]]
+    with a = |c|(th), b = |c|(th - alpha), s = sqrt(ab): exact and real on
+    the real torus, from mod_c (|c| continued into the strip) off it."""
+    af = model.alpha.value
+    if mod_c is None:
+        a, b = np.abs(model.c.eval(th)), np.abs(model.c.eval(th - af))
+        v = model.v.eval(th).real          # self-adjoint => real on T
+    else:
+        a, b, v = mod_c.eval(th), mod_c.eval(th - af), model.v.eval(th)
+    s = np.sqrt(a * b)
+    if np.any(np.abs(s) < _HOPPING_TOL):
+        raise SingularHopping("|c| < 1e-12 at a sampled phase")
+    return a, b, v, s
+
+
 @dataclass
 class Cocycle:
     """A 2x2 cocycle over theta -> theta + alpha.
@@ -100,8 +121,8 @@ class Cocycle:
     kind: str = "normalized"
     epsilon: float = 0.0
     entries: tuple | None = None        # 2x2 nest of TorusSymbols for custom
-    mod_c: TorusSymbol | None = field(default=None, repr=False)
-    mod_k_out: int = 0
+    _mod_c: TorusSymbol | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         if self.kind not in ("transfer", "normalized", "custom"):
@@ -112,52 +133,49 @@ class Cocycle:
             return
         if self.model is None:
             raise ValidationError("model required")
-        if self.kind == "normalized" and self.mod_c is None:
-            k_out = self.mod_k_out or (4 * self.model.c.order + 64)
-            self.mod_c = modulus_symbol(self.model.c, k_out)
+
+    def _modulus(self) -> TorusSymbol:
+        """Analytic continuation of |c| into the strip, built on first use."""
+        if self._mod_c is None:
+            self._mod_c = modulus_symbol(self.model.c,
+                                         4 * self.model.c.order + 64)
+        return self._mod_c
 
     def _check_strip(self, eps: float) -> None:
-        syms = ([self.model.c, self.model.v, self.mod_c]
-                if self.kind != "custom" else
-                [s for row in self.entries for s in row])
+        syms = ([s for row in self.entries for s in row]
+                if self.kind == "custom" else [self.model.c, self.model.v])
+        if eps and self.kind == "normalized":
+            syms.append(self._modulus())
         for s in syms:
-            if s is not None and abs(eps) > s.strip:
+            if abs(eps) > s.strip:
                 raise OutsideStrip(
                     f"epsilon {eps} outside certified strip {s.strip:.5g}")
 
     def matrices(self, thetas) -> np.ndarray:
-        """Stack of cocycle matrices at the given (possibly complex) phases."""
+        """Stack of cocycle matrices at the given (possibly complex) phases;
+        real for the normalized kind on the real torus."""
         th = np.asarray(thetas, dtype=complex if self.epsilon else float)
         if self.epsilon:
             th = th + 1j * self.epsilon
-        out = np.empty(th.shape + (2, 2), dtype=complex)
         if self.kind == "custom":
+            out = np.empty(th.shape + (2, 2), dtype=complex)
             for i in range(2):
                 for j in range(2):
                     out[..., i, j] = self.entries[i][j].eval(th)
             return out
-        E, v = self.energy, self.model.v.eval(th)
-        if self.kind == "transfer":
+        if self.kind == "normalized":
+            a, b, v, s = _normalized_step(
+                self.model, th, self._modulus() if self.epsilon else None)
+            top, low = ((self.energy - v) / s, -b / s), a / s
+        else:
             c = self.model.c.eval(th)
-            bad = np.abs(c) < _HOPPING_TOL
-            if np.any(bad):
-                raise SingularHopping(
-                    "|c| < 1e-12 at a sampled phase", site=None)
+            if np.any(np.abs(c) < _HOPPING_TOL):
+                raise SingularHopping("|c| < 1e-12 at a sampled phase")
             ct = self.model.c_tilde.eval(th - self.model.alpha.value)
-            out[..., 0, 0] = (E - v) / c
-            out[..., 0, 1] = -ct / c
-            out[..., 1, 0] = 1.0
-            out[..., 1, 1] = 0.0
-            return out
-        a = self.mod_c.eval(th)
-        b = self.mod_c.eval(th - self.model.alpha.value)
-        s = np.sqrt(a * b)
-        if np.any(np.abs(s) < _HOPPING_TOL):
-            raise SingularHopping("|c| < 1e-12 at a sampled phase")
-        out[..., 0, 0] = (E - v) / s
-        out[..., 0, 1] = -b / s
-        out[..., 1, 0] = a / s
-        out[..., 1, 1] = 0.0
+            top, low = ((self.energy - self.model.v.eval(th)) / c, -ct / c), 1.0
+        out = np.zeros(th.shape + (2, 2), dtype=np.result_type(*top))
+        out[..., 0, 0], out[..., 0, 1] = top
+        out[..., 1, 0] = low
         return out
 
     def matrix_at(self, theta: float) -> np.ndarray:
@@ -228,11 +246,7 @@ def _product_logs(co: Cocycle, thetas: np.ndarray, n_iter: int) -> np.ndarray:
     done = 0
     while done < n_iter:
         n = min(_BLOCK, n_iter - done)
-        if co.kind == "custom" and co.model is None:
-            phases = np.broadcast_to(thetas[:, None], (P, n))
-        else:
-            phases = orbit_phases(alpha, thetas, done, n)
-        mats = co.matrices(phases)
+        mats = co.matrices(orbit_phases(alpha, thetas, done, n))
         block, blog = _tree_product(mats)
         run = np.matmul(block, run)
         scale = np.max(np.abs(run), axis=(1, 2))
@@ -249,12 +263,11 @@ def lyapunov(co: Cocycle, n_iter: int, n_phases: int = 8,
     Averages (1/n) log ||A_n(theta_i)|| over n_phases random phases with
     per-level norm rescaling; deterministic given the seed.
     """
-    if n_iter < 1:
-        raise ValidationError("n_iter must be positive")
+    if n_iter < 1 or n_phases < 1:
+        raise ValidationError("n_iter and n_phases must be positive")
     rng = np.random.default_rng(seed)
     thetas = rng.random(n_phases)
-    if co.epsilon:
-        co._check_strip(co.epsilon)
+    co._check_strip(co.epsilon)
     vals = _product_logs(co, thetas, n_iter) / n_iter
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n_phases)) \
         if n_phases > 1 else 0.0
@@ -265,10 +278,10 @@ def lyapunov(co: Cocycle, n_iter: int, n_phases: int = 8,
 def lyapunov_strip(co: Cocycle, eps_list, n_iter: int, n_phases: int = 8,
                    seed: int = 0) -> list:
     """One Lyapunov run per phase-complexification epsilon."""
+    co_eps = replace(co)        # one copy, so one |c| projection for the strip
     out = []
     for eps in eps_list:
-        co_eps = replace(co, epsilon=float(eps))
-        co_eps._check_strip(eps)
+        co_eps.epsilon = float(eps)
         out.append(lyapunov(co_eps, n_iter, n_phases, seed))
     return out
 
@@ -321,41 +334,34 @@ def finite_product_inv(co: Cocycle, theta: float, a: int, b: int) -> ScaledMatri
 def rotation_number(co: Cocycle, n_iter: int = 200_000,
                     theta0: float = 0.0) -> float:
     """Fibered rotation number in [0, 1/2] of a normalized cocycle."""
-    if co.kind != "normalized":
-        raise ValidationError("rotation number needs the normalized cocycle")
+    if co.kind != "normalized" or co.epsilon:
+        raise ValidationError(
+            "rotation number needs the normalized cocycle on the real torus")
     return float(rotation_sweep(co.model, np.array([co.energy], dtype=float),
-                                n_iter, theta0, mod_c=co.mod_c)[0])
+                                n_iter, theta0)[0])
 
 
 def rotation_sweep(model: JacobiModel, energies: np.ndarray,
-                   n_iter: int = 200_000, theta0: float = 0.0,
-                   mod_c: TorusSymbol | None = None) -> np.ndarray:
+                   n_iter: int = 200_000, theta0: float = 0.0) -> np.ndarray:
     """Rotation numbers for a whole energy grid in one orbit sweep.
 
     Tracks the projective angle of a marked vector, folding each step's
     increment into (-1/2, 1/2] turns; the Birkhoff average is accumulated
     with compensated summation.
     """
-    if mod_c is None:
-        mod_c = modulus_symbol(model.c, 4 * model.c.order + 64)
+    if n_iter < 1:
+        raise ValidationError("n_iter must be positive")
     E = np.asarray(energies, dtype=float)
     nE = len(E)
     w0 = np.ones(nE)
     w1 = np.zeros(nE)
     total = np.zeros(nE)
     comp = np.zeros(nE)
-    alpha = model.alpha
-    af = alpha.value
     done = 0
     while done < n_iter:
         n = min(4096, n_iter - done)
-        phases = orbit_phases(alpha, theta0, done, n)
-        a = mod_c.eval(phases).real
-        b = mod_c.eval(phases - af).real
-        v = model.v.eval(phases).real
-        s = np.sqrt(np.abs(a * b))
-        if np.any(s < _HOPPING_TOL):
-            raise SingularHopping("|c| < 1e-12 on the rotation orbit")
+        a, b, v, s = _normalized_step(
+            model, orbit_phases(model.alpha, theta0, done, n))
         for k in range(n):
             u0 = ((E - v[k]) * w0 - b[k] * w1) / s[k]
             u1 = (a[k] / s[k]) * w0

@@ -5,8 +5,9 @@ import pytest
 
 from speclab import cocycles as coc
 from speclab import ehm
+from speclab import operators as ops
 from speclab import symbols as sym
-from speclab.errors import OutsideStrip, SingularHopping
+from speclab.errors import OutsideStrip, SingularHopping, ValidationError
 from conftest import random_sl2
 
 LN2 = math.log(2.0)
@@ -48,7 +49,7 @@ def test_lyapunov_constant_diagonal():
     assert est.stderr < 1e-12
 
 
-def test_lyapunov_conjugation_invariance(golden, ehm_112):
+def test_lyapunov_conjugation_invariance(ehm_112):
     # finite-n bound: |L_conj - L| <= 2 ln cond(C) / n
     rng = np.random.default_rng(5)
     C = random_sl2(rng)
@@ -59,13 +60,6 @@ def test_lyapunov_conjugation_invariance(golden, ehm_112):
     base = coc.lyapunov(co, n_iter=n, n_phases=6, seed=9)
 
     # same cocycle conjugated by the constant matrix
-    mod = co.mod_c
-    af = golden.value
-
-    class _Conj:
-        def eval(self_, th):
-            raise NotImplementedError
-
     # build custom symbol entries for C A(theta) C^{-1} is impossible with
     # static symbols (theta-dependent); instead conjugate matrices directly
     class ConjCocycle(coc.Cocycle):
@@ -73,7 +67,7 @@ def test_lyapunov_conjugation_invariance(golden, ehm_112):
             out = super().matrices(thetas)
             return np.einsum("ij,...jk,kl->...il", C, out, Ci)
 
-    co2 = ConjCocycle(ehm_112, E, kind="normalized", mod_c=mod)
+    co2 = ConjCocycle(ehm_112, E, kind="normalized")
     conj = coc.lyapunov(co2, n_iter=n, n_phases=6, seed=9)
     cond = np.linalg.cond(C)
     assert abs(conj.value - base.value) <= 2 * math.log(cond) / n + 1e-9
@@ -232,3 +226,88 @@ def test_estimate_json(ehm_112):
     blob = est.to_json()
     assert set(blob) == {"value", "stderr", "n_iter", "n_phases", "method",
                          "seed"}
+
+
+# -- the normalized step against the Fourier projection of |c| ---------------
+
+def _projected_step(model, th, mod_c=None):
+    """The normalized step as built from the projection of |c| alone: the
+    reference for the exact real-torus step."""
+    mod = sym.modulus_symbol(model.c, 4 * model.c.order + 64)
+    a = mod.eval(th).real
+    b = mod.eval(th - model.alpha.value).real
+    return a, b, model.v.eval(th).real, np.sqrt(np.abs(a * b))
+
+
+@pytest.mark.parametrize("lam", [(0.1, 0.5, 0.2), ehm.sigma((0.1, 0.5, 0.2)),
+                                 (0.2, 0.4, 0.1)])
+def test_normalized_matrices_match_projection(golden, lam):
+    model = ehm.ehm_model(lam, golden)
+    co = coc.Cocycle(model, 0.31, kind="normalized")
+    th = np.random.default_rng(4).random((4, 256))
+    mod = sym.modulus_symbol(model.c, 4 * model.c.order + 64)
+    a, b = mod.eval(th), mod.eval(th - golden.value)
+    s = np.sqrt(a * b)
+    ref = np.zeros(th.shape + (2, 2), dtype=complex)
+    ref[..., 0, 0] = (0.31 - model.v.eval(th)) / s
+    ref[..., 0, 1] = -b / s
+    ref[..., 1, 0] = a / s
+    mats = co.matrices(th)
+    assert mats.dtype == np.float64
+    assert np.max(np.abs(mats - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_rotation_and_lyapunov_match_projection(golden, monkeypatch):
+    model = ehm.ehm_model((0.1, 0.5, 0.2), golden)
+    energies = np.linspace(-2.5, 2.5, 12)
+    co = coc.Cocycle(model, 0.31, kind="normalized")
+    rho = coc.rotation_sweep(model, energies, n_iter=20_000, theta0=0.3)
+    est = coc.lyapunov(co, n_iter=20_000, n_phases=4, seed=3)
+    monkeypatch.setattr(coc, "_normalized_step", _projected_step)
+    rho_ref = coc.rotation_sweep(model, energies, n_iter=20_000, theta0=0.3)
+    est_ref = coc.lyapunov(co, n_iter=20_000, n_phases=4, seed=3)
+    assert np.max(np.abs(rho - rho_ref)) <= 1e-12
+    assert abs(est.value - est_ref.value) <= 1e-12
+
+
+def test_singular_model_ids_rotation_identity(golden):
+    # c vanishes on the torus, so |c| has no analytic Fourier projection;
+    # the exact real-torus step still gives N(E) = 1 - 2 rho(E)
+    model = ehm.ehm_model((0.3, 0.5, 0.3), golden)
+    grid = np.linspace(-model.sup_bound() - 0.5, model.sup_bound() + 0.5, 30)
+    curve = ops.ids(model, grid, N=400, n_phases=2, seed=1)
+    rho = coc.rotation_sweep(model, grid, n_iter=20_000)
+    assert np.max(np.abs(curve.N_of_E - (1 - 2 * rho))) <= 1e-2
+
+
+def test_modulus_projection_only_in_the_strip(ehm_112, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sym.modulus_symbol(*args, **kwargs)
+
+    monkeypatch.setattr(coc, "modulus_symbol", counted)
+    co = coc.Cocycle(ehm_112, 0.31, kind="normalized")
+    coc.lyapunov(co, n_iter=1000, n_phases=2, seed=0)
+    coc.rotation_number(co, n_iter=1000)
+    assert calls == []
+    coc.lyapunov_strip(co, [0.0, 0.01, 0.02], n_iter=1000, n_phases=2, seed=0)
+    assert len(calls) == 1
+
+
+def test_rotation_number_rejects_complex_phase(ehm_112):
+    co = coc.Cocycle(ehm_112, 0.3, kind="normalized", epsilon=0.01)
+    with pytest.raises(ValidationError):
+        coc.rotation_number(co, n_iter=1000)
+
+
+def test_lyapunov_rejects_no_phases(ehm_112):
+    co = coc.Cocycle(ehm_112, 0.3, kind="normalized")
+    with pytest.raises(ValidationError):
+        coc.lyapunov(co, n_iter=1000, n_phases=0)
+
+
+def test_rotation_sweep_rejects_no_steps(ehm_112):
+    with pytest.raises(ValidationError):
+        coc.rotation_sweep(ehm_112, np.array([0.3]), n_iter=0)

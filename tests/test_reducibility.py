@@ -120,7 +120,7 @@ def test_fit_residual_translation_invariance(golden, ehm_112):
         def matrices(self, thetas):
             return super().matrices(np.asarray(thetas) + 0.2371)
 
-    co2 = Shifted(mh, -4.3884, kind="normalized", mod_c=co.mod_c)
+    co2 = Shifted(mh, -4.3884, kind="normalized")
     cand2 = red.fit_conjugacy(co2, rho, K_B=32, grid=1024)
     assert cand2.residual <= cand.residual + 1e-9 or \
         abs(cand2.residual - cand.residual) <= 1e-6
