@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from speclab import cocycles as coc
+from speclab import diophantine as dio
 from speclab import ehm
 from speclab import operators as ops
 from speclab import symbols as sym
@@ -311,3 +313,86 @@ def test_lyapunov_rejects_no_phases(ehm_112):
 def test_rotation_sweep_rejects_no_steps(ehm_112):
     with pytest.raises(ValidationError):
         coc.rotation_sweep(ehm_112, np.array([0.3]), n_iter=0)
+
+
+def test_rotation_number_accepts_real_complex_energy(ehm_112):
+    # Cocycle.energy is typed complex; a zero imaginary part is a real energy
+    rho = coc.rotation_number(coc.Cocycle(ehm_112, 0.3 + 0j), n_iter=1000)
+    assert rho == coc.rotation_number(coc.Cocycle(ehm_112, 0.3), n_iter=1000)
+    with pytest.raises(ValidationError):
+        coc.rotation_number(coc.Cocycle(ehm_112, 0.3 + 0.1j), n_iter=1000)
+
+
+@pytest.mark.parametrize("energies", [np.zeros((1, 2)), np.array([np.nan]),
+                                      np.array([0.3, np.inf]),
+                                      np.array([0.3 + 1e-3j])])
+def test_rotation_sweep_rejects_bad_energies(ehm_112, energies):
+    with pytest.raises(ValidationError):
+        coc.rotation_sweep(ehm_112, energies, n_iter=100)
+
+
+# -- the segment sweep against the per-step loop ------------------------------
+
+def _rotation_sweep_loop(model, energies, n_iter, theta0=0.0):
+    """One Python iteration per orbit step: the reference for the segment
+    sweep of `rotation_sweep`."""
+    E = np.asarray(energies, dtype=float)
+    nE = len(E)
+    w0 = np.ones(nE)
+    w1 = np.zeros(nE)
+    total = np.zeros(nE)
+    comp = np.zeros(nE)
+    done = 0
+    while done < n_iter:
+        n = min(4096, n_iter - done)
+        a, b, v, s = coc._normalized_step(
+            model, coc.orbit_phases(model.alpha, theta0, done, n))
+        for k in range(n):
+            u0 = ((E - v[k]) * w0 - b[k] * w1) / s[k]
+            u1 = (a[k] / s[k]) * w0
+            cross = w0 * u1 - w1 * u0
+            dot = w0 * u0 + w1 * u1
+            inc = np.arctan2(cross, dot) / (2 * math.pi)
+            inc = np.where(inc <= -0.25, inc + 1.0, inc)
+            y = inc - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            norm = np.hypot(u0, u1)
+            w0, w1 = u0 / norm, u1 / norm
+        done += n
+    rho = np.mod(total / n_iter, 1.0)
+    return np.minimum(rho, 1.0 - rho)
+
+
+@pytest.mark.parametrize("freq", ["golden", "sqrt2"])
+@pytest.mark.parametrize("lam", [(0.0, 0.5, 0.0), (0.1, 0.5, 0.2),
+                                 ehm.sigma((0.1, 0.5, 0.2)), (0.3, 0.5, 0.3),
+                                 (2.0, 0.5, 1.0)])
+def test_rotation_sweep_matches_step_loop(freq, lam):
+    model = ehm.ehm_model(lam, dio.expand(freq, 40))
+    sup = model.sup_bound()
+    # the middles of the three widest gaps of a small truncation, and a
+    # grid out to 2 beyond the spectral radius bound on both sides
+    spec = np.sort(ops.spectrum_proxy(model, N=120, n_theta=2))
+    widest = np.argsort(np.diff(spec))[-3:]
+    energies = np.concatenate([(spec[widest] + spec[widest + 1]) / 2,
+                               np.linspace(-sup - 2, sup + 2, 17)])
+    m = coc._SEGMENT
+    chunk = coc._CELLS // max(len(energies), m) * m
+    for n_iter in (1, 2, m - 1, m + 1, 1000, 2 * chunk + m // 2):
+        rho = coc.rotation_sweep(model, energies, n_iter, theta0=0.3)
+        ref = _rotation_sweep_loop(model, energies, n_iter, theta0=0.3)
+        assert np.max(np.abs(rho - ref)) <= 1e-12, n_iter
+
+
+def test_rotation_sweep_memory_does_not_grow_with_steps(ehm_112):
+    # 4 chunks against 31: a buffer sized by n_iter shows as a 10x peak
+    energies = np.linspace(-3.0, 3.0, 40)
+    peaks = []
+    for n_iter in (50_000, 500_000):
+        tracemalloc.start()
+        coc.rotation_sweep(ehm_112, energies, n_iter)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
