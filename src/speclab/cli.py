@@ -270,7 +270,7 @@ def _cmd_gordon(p, seed, out_dir):
 
 def _cmd_transition(p, seed, out_dir):
     return ehm.transition_experiment(
-        p["lambda"], parse_alpha(p["alpha"]), p["N"], seeds=(seed,),
+        p["lambda"], parse_alpha(p["alpha"]), p["N"], seed=seed,
         n_phases=p["n_phases"], thresholds=p["thresholds"], q_cap=p["q_cap"])
 
 

@@ -6,13 +6,15 @@ per-level rescaling, so growth rates up to several nats per step never
 overflow. Orbit phases are re-anchored once per block with exact rational
 arithmetic, which keeps the drift from the orbit of the proxy p/q below
 ~1e-12 out to 1e8 steps. Against alpha the proxy itself is off by
-k |alpha - p/q|, about 1.6e-9 at k = 1e8 for golden depth 40: the root of
-the open `check_theta` item in CHANGES.md.
+k |alpha - p/q|, about 1.6e-9 at k = 1e8 for golden depth 40. That error
+stays in the numerical orbit: the singular-orbit decision
+(`diophantine.check_theta`) works on alpha's exact enclosure.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -67,6 +69,19 @@ class JacobiModel:
         """Upper bound for the spectral radius of the operator family."""
         return float(np.sum(np.abs(self.v.coeffs)) +
                      2 * np.sum(np.abs(self.c.coeffs)))
+
+
+def _integer(name: str, n) -> int:
+    """n as an int; floats such as 1e5 are refused, not truncated."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {n!r}") from None
+
+
+def _finite_phase(theta) -> None:
+    if not math.isfinite(theta):
+        raise ValidationError(f"phase must be finite, got {theta!r}")
 
 
 def orbit_phases(alpha: ContinuedFraction | Fraction, theta0, k0: int,
@@ -267,6 +282,7 @@ def lyapunov(co: Cocycle, n_iter: int, n_phases: int = 8,
     Averages (1/n) log ||A_n(theta_i)|| over n_phases random phases with
     per-level norm rescaling; deterministic given the seed.
     """
+    n_iter, n_phases = _integer("n_iter", n_iter), _integer("n_phases", n_phases)
     if n_iter < 1 or n_phases < 1:
         raise ValidationError("n_iter and n_phases must be positive")
     rng = np.random.default_rng(seed)
@@ -309,6 +325,8 @@ def finite_product(co: Cocycle, theta: float, a: int, b: int) -> ScaledMatrix:
     Empty range (b < a) gives the identity. Hopping zeros on the segment
     raise SingularHopping with the offending site.
     """
+    a, b = _integer("a", a), _integer("b", b)
+    _finite_phase(theta)
     if b < a:
         return ScaledMatrix(np.eye(2, dtype=complex), 0.0)
     mats = _segment_matrices(co, theta, a, b)
@@ -323,6 +341,8 @@ def finite_product_inv(co: Cocycle, theta: float, a: int, b: int) -> ScaledMatri
     underflows; each step's inverse is well conditioned, so the rescaled
     product of inverses in reversed order is the stable route.
     """
+    a, b = _integer("a", a), _integer("b", b)
+    _finite_phase(theta)
     if b < a:
         return ScaledMatrix(np.eye(2, dtype=complex), 0.0)
     mats = _segment_matrices(co, theta, a, b)
@@ -369,6 +389,8 @@ def rotation_sweep(model: JacobiModel, energies: np.ndarray,
     A chunk costs about 2m + S Python iterations instead of S m, and the
     memory is O(chunk + S x energies) for any n_iter.
     """
+    n_iter = _integer("n_iter", n_iter)
+    _finite_phase(theta0)
     if n_iter < 1:
         raise ValidationError("n_iter must be positive")
     E = np.asarray(energies)

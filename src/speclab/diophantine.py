@@ -9,11 +9,10 @@ Floating point enters only when a quantity is reported.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-
-import numpy as np
 
 from .errors import (
     ContractViolation,
@@ -96,11 +95,9 @@ class ContinuedFraction:
     def value(self) -> float:
         return float(self.lo + (self.hi - self.lo) / 2)
 
-    def norm_interval(self, k: int) -> tuple[Fraction, Fraction]:
-        """Exact enclosure of dist(k*alpha, Z)."""
-        if k == 0:
-            return Fraction(0), Fraction(0)
-        lo, hi = k * self.lo, k * self.hi
+    def norm_interval(self, k: int, x=Fraction(0)) -> tuple[Fraction, Fraction]:
+        """Exact enclosure of dist(k*alpha - x, Z)."""
+        lo, hi = k * self.lo - x, k * self.hi - x
         if k < 0:
             lo, hi = hi, lo
         m = round(lo + (hi - lo) / 2)
@@ -288,32 +285,33 @@ def _frac_norm(x: Fraction) -> Fraction:
 
 def check_theta(cf: ContinuedFraction, theta: float, singular_phases,
                 k_range: int) -> None:
-    """Semi-decision that theta avoids the singular orbits theta_j + Z alpha + Z.
+    """Decide that theta is farther than 1e-12 from theta_j + k alpha + Z
+    for every singular phase theta_j and |k| <= K = k_range.
 
-    Scans |k| <= k_range (capped at 1e5) against the deep-convergent proxy
-    p/q; tolerance 1e-12. The residues k*p mod q are exact integers, a
-    float screen with a 1e-14 margin (far above its rounding error) keeps
-    the candidate k, and each candidate is decided in exact rationals, in
-    the order phase by phase and k upwards.
-    """
-    k_range = min(int(k_range), 100_000)
-    pr = cf.proxy
-    p, q = pr.numerator, pr.denominator
+    A hit forces k p = r (mod q), p/q the deepest convergent with q <= K
+    (0/1 below q_1), for the few integers r within q tol + K |q alpha - p|
+    of (theta - theta_j) q; those k are decided against alpha's enclosure,
+    phase by phase and k upwards (see README)."""
+    K = int(k_range)
+    n = bisect_right(cf.q, K)
+    p, q = (cf.p[n - 1], cf.q[n - 1]) if n else (0, 1)
+    err = max(abs(q * cf.lo - p), abs(q * cf.hi - p))
+    if K * err >= 1:
+        raise InsufficientDepth(f"|k| <= {K} needs convergents beyond q_{cf.depth}")
     tol = Fraction(_SINGULAR_ORBIT_TOL)
-    if k_range * p < 2**63 and q < 2**63:
-        ks = np.arange(-k_range, k_range + 1, dtype=np.int64)
-        x = (ks * p % q) / q
-    else:
-        x = np.array([(k * p) % q / q for k in range(-k_range, k_range + 1)])
-    th = Fraction(theta)
+    eta, p_inv = q * tol + K * err, pow(p, -1, q)
     for tj in singular_phases:
-        d0 = (th - Fraction(tj)) % 1
-        y = float(d0) - x
-        near = np.abs(y - np.rint(y)) < _SINGULAR_ORBIT_TOL + 1e-14
-        for k in (np.flatnonzero(near) - k_range).tolist():
-            if _frac_norm(d0 - k * pr) < tol:
+        x = (Fraction(theta) - Fraction(tj)) % 1
+        rs = range(math.ceil(x * q - eta), math.floor(x * q + eta) + 1)
+        k = -K - 1      # step to the least k' > k with k' p = r (mod q)
+        while rs and (k := k + 1 + min((r * p_inv - k - 1) % q for r in rs)) <= K:
+            lo, hi = cf.norm_interval(k, x)
+            if hi < tol:
                 raise ThetaInSingularOrbit(
                     f"theta within {_SINGULAR_ORBIT_TOL} of phase {tj} + {k}*alpha")
+            if lo < tol:
+                raise PrecisionExhausted(
+                    f"enclosure too wide to decide phase {tj} + {k}*alpha")
 
 
 def delta_c(cf: ContinuedFraction, theta: float, singular_phases,

@@ -138,7 +138,7 @@ def _iqr(x):
 
 
 def transition_experiment(lam, alpha_cf: ContinuedFraction, N: int,
-                          seeds=(0,), n_phases: int = 32,
+                          seed: int = 0, n_phases: int = 32,
                           thresholds: dict | None = None,
                           q_cap: int = 5000) -> dict:
     """Localization diagnostics on both sides of the growth-rate competition.
@@ -156,7 +156,7 @@ def transition_experiment(lam, alpha_cf: ContinuedFraction, N: int,
     model = ehm_model(lam, alpha_cf)
     beta_est = beta(alpha_cf, window=min(6, alpha_cf.depth - 2))
 
-    rng = np.random.default_rng(int(seeds[0]))
+    rng = np.random.default_rng(int(seed))
     thetas = rng.random(n_phases)
 
     rates, r2s, iprs = [], [], []
@@ -219,7 +219,7 @@ def transition_experiment(lam, alpha_cf: ContinuedFraction, N: int,
         "ipr": {"median": ipr_median, "iqr": _iqr(iprs)},
         "gordon": gordon,
         "thresholds": th,
-        "provenance": {"seeds": list(map(int, seeds)), "N": N,
+        "provenance": {"seeds": [int(seed)], "N": N,
                        "n_phases": n_phases, "alpha": alpha_cf.to_json(),
                        "versions": {"speclab": __version__}},
     }

@@ -29,6 +29,7 @@ from .symbols import zeros_on_torus
 
 _EDGE_FRACTION = 0.025          # per side; outer 5% of sites in total
 _EDGE_EXCESS = 3.0              # boundary filter, in uniform edge shares
+_PRODUCT_BOUND_EPS = 0.05       # slack eps in the singular-phase lower bound
 
 
 def _edge_sites(M: int) -> int:
@@ -352,15 +353,15 @@ class GordonReport:
 
 
 def gordon_test(model: JacobiModel, theta: float, E: float,
-                cf: ContinuedFraction, level: int, phi_count: int = 8,
-                initial=None, eps: float = 0.05) -> GordonReport:
+                cf: ContinuedFraction, level: int,
+                phi_count: int = 8) -> GordonReport:
     """Escape criterion at the convergent denominator q = q_level.
 
     Candidate solutions are generated by the transfer recursion from unit
-    seeds (u_0, u_-1) on a phi grid (plus an optional explicit seed); for
-    each we record the vectors at sites q, 2q and -q. A true decaying
-    eigenfunction would keep all three small; the criterion holds when the
-    max of the three norms is at least 1/4 for every candidate.
+    seeds (u_0, u_-1) on a phi grid; for each we record the vectors at
+    sites q, 2q and -q. A true decaying eigenfunction would keep all three
+    small; the criterion holds when the max of the three norms is at least
+    1/4 for every candidate.
     """
     if level < 1 or level >= cf.depth:
         raise InsufficientDepth(
@@ -392,9 +393,6 @@ def gordon_test(model: JacobiModel, theta: float, E: float,
     for i in range(phi_count):
         phi = math.pi * i / phi_count
         seeds.append((math.cos(phi), math.sin(phi)))
-    if initial is not None:
-        v = np.asarray(initial, dtype=float)
-        seeds.append(tuple(v / np.linalg.norm(v)))
 
     def lognorm(sm: "object", vec) -> float:
         w, ls = sm.apply(vec)
@@ -425,9 +423,10 @@ def gordon_test(model: JacobiModel, theta: float, E: float,
         except ThetaInSingularOrbit:
             delta = None
         if delta is not None:
-            rhs = (delta - eps) * q - log_q_next
+            rhs = (delta - _PRODUCT_BOUND_EPS) * q - log_q_next
             product_bound = {"log_lhs": lhs, "log_rhs": rhs,
-                             "holds": lhs >= rhs, "delta_c": delta, "eps": eps}
+                             "holds": lhs >= rhs, "delta_c": delta,
+                             "eps": _PRODUCT_BOUND_EPS}
 
     return GordonReport(q, log_q_next, tuple(norms), float(min_max), passed,
                         float(math.exp(min(trace_log, 700.0))), trace_log,

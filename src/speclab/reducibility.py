@@ -283,14 +283,12 @@ def fit_conjugacy(co: Cocycle, rho_target: float, K_B: int,
 # dual eigenvector candidates from a conjugacy
 # ---------------------------------------------------------------------------
 
+_EIGENVECTOR_GRID = 2048
 _P_SPLIT = np.array([[1.0, 1.0], [-1j, 1j]]) / math.sqrt(2.0)
 
 
 def dual_eigenvector_from_conjugacy(cand: ConjugacyCandidate, co: Cocycle,
-                                    which_row: int = 1,
-                                    grid: int = 2048,
-                                    k_cohom: int | None = None,
-                                    trunc: int | None = None) -> tuple:
+                                    which_row: int = 1) -> tuple:
     """Fourier coefficients of a combined-conjugacy entry as a dual
     eigenvector candidate, plus its eigen-equation residual.
 
@@ -307,11 +305,11 @@ def dual_eigenvector_from_conjugacy(cand: ConjugacyCandidate, co: Cocycle,
     model = co.model
     s = model.c
     af = model.alpha.value
-    xs = np.arange(grid) / grid
+    xs = np.arange(_EIGENVECTOR_GRID) / _EIGENVECTOR_GRID
 
-    k_cohom = k_cohom or max(48, 2 * cand.K_B)
-    rhs = phase_rhs(s, k_cohom, grid)
-    sol = solve_cohomology(rhs, model.alpha, k_cohom, grid)
+    k_cohom = max(48, 2 * cand.K_B)
+    rhs = phase_rhs(s, k_cohom, _EIGENVECTOR_GRID)
+    sol = solve_cohomology(rhs, model.alpha, k_cohom, _EIGENVECTOR_GRID)
     g_vals = sol.g.eval(xs)
 
     # M_s(theta) = diag(1, e^{i arg s(theta - alpha)})
@@ -326,11 +324,10 @@ def dual_eigenvector_from_conjugacy(cand: ConjugacyCandidate, co: Cocycle,
     D *= (np.exp(-0.5 * g_vals) / np.sqrt(s_prev))[:, None, None]
 
     entry = D[:, 0, which_row - 1]
-    spec = np.fft.fft(entry) / grid
-    if trunc is None:
-        trunc = cand.K_B + s.order + 24
+    spec = np.fft.fft(entry) / _EIGENVECTOR_GRID
+    trunc = cand.K_B + s.order + 24
     ks = np.arange(-trunc, trunc + 1)
-    u = spec[np.mod(ks, grid)]
+    u = spec[np.mod(ks, _EIGENVECTOR_GRID)]
     u = u / np.linalg.norm(u)
 
     dual = dua.dualize(model)

@@ -315,6 +315,24 @@ def test_rotation_sweep_rejects_no_steps(ehm_112):
         coc.rotation_sweep(ehm_112, np.array([0.3]), n_iter=0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda m, co: coc.rotation_sweep(m, np.array([0.3]), 100, theta0=np.nan),
+    lambda m, co: coc.rotation_sweep(m, np.array([0.3]), 100, theta0=np.inf),
+    lambda m, co: coc.rotation_sweep(m, np.array([0.3]), n_iter=100.0),
+    lambda m, co: coc.rotation_number(co, n_iter=100, theta0=np.nan),
+    lambda m, co: coc.rotation_number(co, n_iter=100.0),
+    lambda m, co: coc.lyapunov(co, 100.0),
+    lambda m, co: coc.lyapunov(co, 100, n_phases=2.0),
+    lambda m, co: coc.finite_product(co, np.nan, 0, 5),
+    lambda m, co: coc.finite_product(co, 0.2, 0, 5.0),
+    lambda m, co: coc.finite_product_inv(co, -np.inf, -5, -1),
+    lambda m, co: coc.finite_product_inv(co, 0.2, -5.0, -1),
+])
+def test_non_finite_phase_and_non_integer_count_rejected(ehm_112, call):
+    with pytest.raises(ValidationError):
+        call(ehm_112, coc.Cocycle(ehm_112, 0.3, kind="normalized"))
+
+
 def test_rotation_number_accepts_real_complex_energy(ehm_112):
     # Cocycle.energy is typed complex; a zero imaginary part is a real energy
     rho = coc.rotation_number(coc.Cocycle(ehm_112, 0.3 + 0j), n_iter=1000)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from speclab import diophantine as dio
 from speclab.errors import (
+    InsufficientDepth,
     Overflow,
     PrecisionExhausted,
     ThetaInSingularOrbit,
@@ -147,7 +148,7 @@ def test_delta_c_empty_phases_matches_beta_bitwise():
 def test_delta_c_singular_orbit_rejected():
     cf = dio.expand("golden", 12)
     theta1 = 0.237
-    theta = float((Fraction(theta1) + 3 * cf.proxy) % 1)
+    theta = float((Fraction(theta1) + 3 * cf.lo) % 1)
     with pytest.raises(ThetaInSingularOrbit):
         dio.delta_c(cf, theta, [theta1], depth=8)
 
@@ -201,12 +202,12 @@ def test_json_roundtrip_fields():
 
 
 # ---------------------------------------------------------------------------
-# the integer scans against the Fraction loops they replaced
+# the scans against plain Fraction loops
 # ---------------------------------------------------------------------------
 
 def _check_theta_oracle(cf, theta, singular_phases, k_range):
-    """The exact Fraction loop of check_theta: its message, or None."""
-    k_range = min(int(k_range), 100_000)
+    """A Fraction loop against the proxy p/q: its message, or None. It
+    agrees with check_theta where k_range |alpha - p/q| is far below 1e-12."""
     pr = cf.proxy
     th = Fraction(theta)
     for tj in singular_phases:
@@ -214,6 +215,29 @@ def _check_theta_oracle(cf, theta, singular_phases, k_range):
         for k in range(-k_range, k_range + 1):
             if dio._frac_norm(d0 - k * pr) < Fraction(1e-12):
                 return f"theta within 1e-12 of phase {tj} + {k}*alpha"
+    return None
+
+
+def _check_theta_enclosure_oracle(cf, theta, singular_phases, k_range):
+    """Every |k| <= k_range in turn, decided on alpha's enclosure."""
+    tol = Fraction(1e-12)
+    for tj in singular_phases:
+        x = (Fraction(theta) - Fraction(tj)) % 1
+        for k in range(-k_range, k_range + 1):
+            lo, hi = cf.norm_interval(k, x)
+            if hi < tol:
+                raise ThetaInSingularOrbit(
+                    f"theta within 1e-12 of phase {tj} + {k}*alpha")
+            if lo < tol:
+                raise PrecisionExhausted(
+                    f"enclosure too wide to decide phase {tj} + {k}*alpha")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except (ThetaInSingularOrbit, PrecisionExhausted, InsufficientDepth) as exc:
+        return type(exc).__name__, str(exc)
     return None
 
 
@@ -242,8 +266,13 @@ def _on_orbit(cf, tj, k, offset=Fraction(0)):
     return float((Fraction(tj) + k * cf.proxy + offset) % 1)
 
 
-# golden40 and sqrt2 reduce k*p mod q in int64; sqrt2_50 (q >= 2^63) and
-# synth (a 582-bit proxy) in Python ints
+def _on_true_orbit(cf, tj, k, offset=Fraction(0)):
+    """The float nearest to tj + k*alpha + offset, mod 1 (alpha = cf.lo)."""
+    return float((Fraction(tj) + k * cf.lo + offset) % 1)
+
+
+# proxies with q below 2^63 (golden40, sqrt2), above it (sqrt2_50) and a
+# 582-bit exact rational (synth)
 SCAN_ALPHAS = {
     "golden40": lambda: dio.expand("golden", 40),
     "sqrt2": lambda: dio.expand("sqrt2", 40),
@@ -300,12 +329,84 @@ def test_check_theta_liouville_first_hit_from_below():
 
 
 def test_check_theta_full_cap_planted_last():
-    # the transition workload's scale: golden depth 40, |k| <= 1e5
+    # the transition workload's scale: golden depth 40, planted at k = 1e5
     cf = dio.expand("golden", 40)
-    theta = _on_orbit(cf, 0.137, 100_000)
+    theta = _on_true_orbit(cf, 0.137, 100_000)
     msg = _check_theta_message(cf, theta, [0.137], cf.q[-1])
-    assert msg == _check_theta_oracle(cf, theta, [0.137], cf.q[-1])
     assert msg.endswith("+ 100000*alpha")
+
+
+# the 0.0123456789 expansion (a_1 = 81) takes the 0/1 branch for K < 81;
+# "wide" is golden to 1e-13, too coarse to decide most hits at |k| >= 10
+WIDE = (Fraction(6180339887498, 10**13), Fraction(6180339887499, 10**13))
+ENCLOSURE_ALPHAS = {
+    **{name: SCAN_ALPHAS[name] for name in ("golden40", "sqrt2_50", "synth")},
+    "fib": lambda: dio.expand("987/1597", 15),
+    "a81": lambda: dio.expand("0.0123456789", 3),
+    "wide": lambda: dio.expand(WIDE, 20),
+}
+
+
+@pytest.mark.parametrize("name", list(ENCLOSURE_ALPHAS))
+def test_check_theta_matches_enclosure_loop(name):
+    import random
+
+    cf = ENCLOSURE_ALPHAS[name]()
+    rng = random.Random(name)
+    tj = rng.random()
+    tol = Fraction(1e-12)
+    edges = [s * tol * (1 + f) for s in (1, -1) for f in (Fraction(-1, 1000),
+                                                         Fraction(1, 1000))]
+    for K in (0, 1, 2, 7, 50):
+        cases = [rng.random()]
+        for k in {0, 1, -1, K, -K, K + 1, 17}:
+            cases += [_on_true_orbit(cf, tj, k, off) for off in [0] + edges]
+        for theta in cases:
+            assert _outcome(dio.check_theta, cf, theta, [tj], K) == _outcome(
+                _check_theta_enclosure_oracle, cf, theta, [tj], K), (K, theta)
+    # two phases, in both orders
+    t2 = _on_true_orbit(cf, tj, 7)
+    theta = _on_true_orbit(cf, tj, 3)
+    for phases in ([tj, t2], [t2, tj]):
+        assert _outcome(dio.check_theta, cf, theta, phases, 50) == _outcome(
+            _check_theta_enclosure_oracle, cf, theta, phases, 50)
+    # large K: the edges of the range and one hit just inside tol
+    for K in (300, 1600):
+        cases = [_on_true_orbit(cf, tj, k) for k in (-K, K, K + 1)]
+        cases.append(_on_true_orbit(cf, tj, 17, edges[0]))
+        for theta in cases:
+            assert _outcome(dio.check_theta, cf, theta, [tj], K) == _outcome(
+                _check_theta_enclosure_oracle, cf, theta, [tj], K), (K, theta)
+
+
+def test_check_theta_wide_enclosure_exhausts_precision():
+    cf = ENCLOSURE_ALPHAS["wide"]()
+    theta = _on_true_orbit(cf, 0.3, 40)
+    want = ("PrecisionExhausted",
+            "enclosure too wide to decide phase 0.3 + 40*alpha")
+    assert _outcome(dio.check_theta, cf, theta, [0.3], 50) == want
+    assert _outcome(_check_theta_enclosure_oracle, cf, theta, [0.3], 50) == want
+
+
+def test_check_theta_true_orbit_beyond_old_cap():
+    # at golden depth 40, delta_c asks for |k| <= q_39 ~ 1e8; the proxy orbit
+    # drifts from alpha's by k |alpha - p/q| = 1.63e-12 at k = 1e5
+    cf = dio.expand("golden", 40)
+    K = cf.q[-2]
+    for k in (100_000, 50_000_000, -K):
+        theta = _on_true_orbit(cf, 0.3, k)
+        assert _check_theta_message(cf, theta, [0.3], K).endswith(f"+ {k}*alpha")
+    with pytest.raises(ThetaInSingularOrbit):
+        dio.delta_c(cf, _on_true_orbit(cf, 0.3, 50_000_000), [0.3],
+                    depth=cf.depth - 1)
+    assert _check_theta_message(cf, _on_orbit(cf, 0.3, 100_000), [0.3], K) is None
+
+
+def test_check_theta_shallow_expansion_insufficient_depth():
+    cf = dio.expand("golden", 12)        # q_12 = 233, q_13 = 377 not stored
+    dio.check_theta(cf, 0.42, [0.1], 233)
+    with pytest.raises(InsufficientDepth):
+        dio.check_theta(cf, 0.42, [0.1], 1600)
 
 
 @pytest.mark.parametrize("name", list(SCAN_ALPHAS))

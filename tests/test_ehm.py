@@ -119,7 +119,7 @@ def test_closed_form_matches_iteration(golden):
 
 def test_transition_smoke_pp_side(golden):
     report = ehm.transition_experiment((0.1, 0.5, 0.2), golden, N=400,
-                                       seeds=(3,), n_phases=6)
+                                       seed=3, n_phases=6)
     assert report["region"] == "I"
     assert report["verdict"] in ("pp-side", "inconclusive")
     assert report["decay"]["median"] == pytest.approx(
@@ -131,7 +131,7 @@ def test_transition_smoke_pp_side(golden):
 def test_transition_smoke_sc_side():
     cfs = dio.synth_alpha(1.5, 4, q2=2)
     report = ehm.transition_experiment(
-        (0.1, 0.9, 0.2), cfs, N=400, seeds=(5,), n_phases=6,
+        (0.1, 0.9, 0.2), cfs, N=400, seed=5, n_phases=6,
         thresholds={"min_q": 10})
     assert report["beta"] > report["L_lambda"]
     assert report["verdict"] in ("sc-side", "inconclusive")
