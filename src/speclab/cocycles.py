@@ -1,30 +1,33 @@
 """Transfer-matrix and normalized cocycles over an irrational rotation.
 
 Products are evaluated in blocks: each block of matrices is built with
-vectorized symbol evaluation and reduced by pairwise multiplication with
-per-level rescaling, so growth rates up to several nats per step never
-overflow. Orbit phases are re-anchored once per block with exact rational
-arithmetic, which keeps the drift from the orbit of the proxy p/q below
-~1e-12 out to 1e8 steps. Against alpha the proxy itself is off by
-k |alpha - p/q|, about 1.6e-9 at k = 1e8 for golden depth 40. That error
-stays in the numerical orbit: the singular-orbit decision
+one complex exponential per orbit point and reduced by pairwise
+multiplication on the four entry arrays with per-level rescaling, so
+growth rates up to several nats per step never overflow. Orbit phases are
+re-anchored every 256 steps with exact rational arithmetic, which keeps
+the drift from the orbit of the proxy p/q below ~1e-12 out to 1e8
+steps. Against alpha the proxy itself is off by k |alpha - p/q|, about
+1.6e-9 at k = 1e8 for golden depth 40. That error stays in the
+numerical orbit: the singular-orbit decision
 (`diophantine.check_theta`) works on alpha's exact enclosure.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .diophantine import ContinuedFraction
 from .errors import OutsideStrip, SingularHopping, ValidationError
-from .symbols import TorusSymbol, modulus_symbol
+from .symbols import TWO_PI, TorusSymbol, modulus_strip
 
-_BLOCK = 256
+_BLOCK = 4096               # steps per block product
+_ANCHOR = 256               # steps between exact orbit re-anchors
 _HOPPING_TOL = 1e-12
 # rotation sweep: steps per segment, and the cap on both the steps of a
 # chunk (segments x _SEGMENT) and the cells of a pass (segments x energies)
@@ -88,38 +91,52 @@ def orbit_phases(alpha: ContinuedFraction | Fraction, theta0, k0: int,
                  count: int) -> np.ndarray:
     """theta0 + k*alpha mod 1 for k = k0..k0+count-1, re-anchored exactly.
 
-    theta0 may be a scalar or a vector of phases; the anchor for each block
-    is computed with exact rational arithmetic so the double-precision
-    drift from the proxy's orbit never exceeds the in-block accumulation;
-    the proxy's own error is in the module docstring.
+    theta0 may be a scalar or a vector of phases; the anchor of every
+    _ANCHOR steps is computed with exact rational arithmetic so the
+    double-precision drift from the proxy's orbit never exceeds the
+    accumulation over _ANCHOR steps; the proxy's own error is in the
+    module docstring.
     """
     proxy = alpha.proxy if isinstance(alpha, ContinuedFraction) else alpha
-    af = float(proxy)
+    p, q = proxy.numerator, proxy.denominator
+    k0, af = int(k0), float(proxy)
     th = np.atleast_1d(np.asarray(theta0, dtype=float))
-    out = np.empty((len(th), count))
-    done = 0
-    while done < count:
-        n = min(_BLOCK, count - done)
-        anchor = float(((k0 + done) * proxy) % 1)
-        block = (th[:, None] + (anchor + np.arange(n) * af)) % 1.0
-        out[:, done:done + n] = block
-        done += n
+    # int / int is correctly rounded, as float(Fraction) is
+    anchors = np.array([(k0 + d) * p % q / q
+                        for d in range(0, count, _ANCHOR)])
+    steps = (anchors[:, None] + np.arange(_ANCHOR) * af).ravel()[:count]
+    out = (th[:, None] + steps) % 1.0
     if np.isscalar(theta0):
         return out[0]
     return out
 
 
-def _normalized_step(model: JacobiModel, th: np.ndarray,
-                     mod_c: TorusSymbol | None = None) -> tuple:
+def _exp_points(model: JacobiModel, th: np.ndarray) -> tuple:
+    """z = e^{2 pi i th} and zb = e^{2 pi i (th - alpha)}: one exponential
+    per phase, and a scalar product for the shift."""
+    z = np.exp(2j * np.pi * th)
+    return z, z * cmath.exp(-1j * TWO_PI * model.alpha.value)
+
+
+def _normalized_step(model: JacobiModel, th: np.ndarray) -> tuple:
     """(a, b, v, s) of the normalized step [[(E - v)/s, -b/s], [a/s, 0]]
-    with a = |c|(th), b = |c|(th - alpha), s = sqrt(ab): exact and real on
-    the real torus, from mod_c (|c| continued into the strip) off it."""
-    af = model.alpha.value
-    if mod_c is None:
-        a, b = np.abs(model.c.eval(th)), np.abs(model.c.eval(th - af))
-        v = model.v.eval(th).real          # self-adjoint => real on T
+    with a = |c|(th), b = |c|(th - alpha), s = sqrt(ab), from one
+    exponential per phase. On the real torus a and b are the exact moduli
+    and all four are real; off it a and b are sqrt(c c~), the analytic
+    continuation of |c| (c~ the conjugate reversal)."""
+    z, zb = _exp_points(model, th)
+    if np.iscomplexobj(th):
+        ct = model.c_tilde
+        cc = [model.c.at(w) * ct.at(w) for w in (z, zb)]
+        # the principal root, refused where |arg(c c~)| > 3 pi / 4
+        if any(np.any(w.real < -np.abs(w.imag)) for w in cc):
+            raise OutsideStrip("arg(c c~) passes 3 pi / 4: the principal "
+                               "root may leave the continuation of |c|")
+        a, b = np.sqrt(cc[0]), np.sqrt(cc[1])
+        v = model.v.at(z)
     else:
-        a, b, v = mod_c.eval(th), mod_c.eval(th - af), model.v.eval(th)
+        a, b = np.abs(model.c.at(z)), np.abs(model.c.at(zb))
+        v = model.v.at(z).real              # self-adjoint => real on T
     s = np.sqrt(a * b)
     if np.any(np.abs(s) < _HOPPING_TOL):
         raise SingularHopping("|c| < 1e-12 at a sampled phase")
@@ -140,12 +157,13 @@ class Cocycle:
     kind: str = "normalized"
     epsilon: float = 0.0
     entries: tuple | None = None        # 2x2 nest of TorusSymbols for custom
-    _mod_c: TorusSymbol | None = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     def __post_init__(self):
         if self.kind not in ("transfer", "normalized", "custom"):
             raise ValidationError(f"unknown cocycle kind {self.kind!r}")
+        if not (cmath.isfinite(self.energy) and math.isfinite(self.epsilon)):
+            raise ValidationError(f"energy {self.energy!r} and epsilon "
+                                  f"{self.epsilon!r} must be finite")
         if self.kind == "custom":
             if self.entries is None:
                 raise ValidationError("custom cocycle needs entry symbols")
@@ -153,22 +171,16 @@ class Cocycle:
         if self.model is None:
             raise ValidationError("model required")
 
-    def _modulus(self) -> TorusSymbol:
-        """Analytic continuation of |c| into the strip, built on first use."""
-        if self._mod_c is None:
-            self._mod_c = modulus_symbol(self.model.c,
-                                         4 * self.model.c.order + 64)
-        return self._mod_c
-
     def _check_strip(self, eps: float) -> None:
         syms = ([s for row in self.entries for s in row]
                 if self.kind == "custom" else [self.model.c, self.model.v])
+        strips = [s.strip for s in syms]
         if eps and self.kind == "normalized":
-            syms.append(self._modulus())
-        for s in syms:
-            if abs(eps) > s.strip:
+            strips.append(modulus_strip(self.model.c))
+        for strip in strips:
+            if abs(eps) > strip:
                 raise OutsideStrip(
-                    f"epsilon {eps} outside certified strip {s.strip:.5g}")
+                    f"epsilon {eps} outside certified strip {strip:.5g}")
 
     def matrices(self, thetas) -> np.ndarray:
         """Stack of cocycle matrices at the given (possibly complex) phases;
@@ -177,29 +189,18 @@ class Cocycle:
         if self.epsilon:
             th = th + 1j * self.epsilon
         if self.kind == "custom":
-            out = np.empty(th.shape + (2, 2), dtype=complex)
-            for i in range(2):
-                for j in range(2):
-                    out[..., i, j] = self.entries[i][j].eval(th)
-            return out
-        if self.kind == "normalized":
-            a, b, v, s = _normalized_step(
-                self.model, th, self._modulus() if self.epsilon else None)
-            top, low = ((self.energy - v) / s, -b / s), a / s
+            m = [s.eval(th) for row in self.entries for s in row]
+        elif self.kind == "normalized":
+            a, b, v, s = _normalized_step(self.model, th)
+            m = [(self.energy - v) / s, -b / s, a / s, 0.0]
         else:
-            c = self.model.c.eval(th)
+            z, zb = _exp_points(self.model, th)
+            c = self.model.c.at(z)
             if np.any(np.abs(c) < _HOPPING_TOL):
                 raise SingularHopping("|c| < 1e-12 at a sampled phase")
-            ct = self.model.c_tilde.eval(th - self.model.alpha.value)
-            top, low = ((self.energy - self.model.v.eval(th)) / c, -ct / c), 1.0
-        out = np.zeros(th.shape + (2, 2), dtype=np.result_type(*top))
-        out[..., 0, 0], out[..., 0, 1] = top
-        out[..., 1, 0] = low
-        return out
-
-    def matrix_at(self, theta: float) -> np.ndarray:
-        """Single cocycle matrix, shape (2, 2)."""
-        return self.matrices(np.array([theta]))[0]
+            ct = self.model.c_tilde.at(zb)
+            m = [(self.energy - self.model.v.at(z)) / c, -ct / c, 1.0, 0.0]
+        return np.stack(np.broadcast_arrays(*m), -1).reshape(th.shape + (2, 2))
 
 
 @dataclass(frozen=True)
@@ -223,55 +224,67 @@ class ScaledMatrix:
     matrix: np.ndarray
     log_scale: float
 
-    @property
-    def log_norm(self) -> float:
-        return self.log_scale + math.log(np.linalg.norm(self.matrix, 2))
-
     def apply(self, vec) -> tuple:
         """(matrix @ vec, log_scale) without collapsing the factor."""
         return self.matrix @ np.asarray(vec, dtype=complex), self.log_scale
 
 
-def _tree_product(mats: np.ndarray) -> tuple:
-    """Ordered product mats[:, -1] @ ... @ mats[:, 0] with rescaling.
+# A 2x2 matrix stack is carried as its four entry arrays (m00, m01, m10,
+# m11); np.stack(m, -1).reshape(..., 2, 2) turns them into matrices.
 
-    mats has shape (P, B, 2, 2). Returns (product (P,2,2), logs (P,)).
+def _entries(mats: np.ndarray) -> tuple:
+    """Entry views of a (..., 2, 2) stack."""
+    return mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+
+
+def _rescaled_mul(x: tuple, y: tuple) -> tuple:
+    """x @ y over its largest entry modulus, and that scale (1 where the
+    product is 0)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    scale = np.maximum(np.maximum(abs(m[0]), abs(m[1])),
+                       np.maximum(abs(m[2]), abs(m[3])))
+    scale = np.where(scale > 0, scale, 1.0)
+    return tuple(x / scale for x in m), scale
+
+
+def _tree_product(m: tuple) -> tuple:
+    """Ordered product M[:, -1] ... M[:, 0] of the matrices with (P, B)
+    entry arrays m, multiplied pairwise level by level, each pair product
+    rescaled by its largest entry modulus.
+
+    Returns the product's (P,) entries and the (P,) log of the scale taken
+    out.
     """
-    P = mats.shape[0]
-    logs = np.zeros(P)
-    while mats.shape[1] > 1:
-        B = mats.shape[1]
-        if B % 2:
-            odd = mats[:, -1:]
-            mats = mats[:, :-1]
-        else:
-            odd = None
-        mats = np.matmul(mats[:, 1::2], mats[:, 0::2])
-        if odd is not None:
-            mats = np.concatenate([mats, odd], axis=1)
-        scale = np.max(np.abs(mats), axis=(2, 3))
-        scale = np.where(scale > 0, scale, 1.0)
-        mats = mats / scale[..., None, None]
+    logs = np.zeros(m[0].shape[0])
+    while m[0].shape[1] > 1:
+        even = m[0].shape[1] // 2 * 2
+        pairs, scale = _rescaled_mul([x[:, 1:even:2] for x in m],
+                                     [x[:, 0:even:2] for x in m])
         logs += np.sum(np.log(scale), axis=1)
-    return mats[:, 0], logs
+        if even < m[0].shape[1]:
+            pairs = [np.concatenate([p, x[:, -1:]], axis=1)
+                     for p, x in zip(pairs, m)]
+        m = pairs
+    return tuple(x[:, 0] for x in m), logs
 
 
 def _product_logs(co: Cocycle, thetas: np.ndarray, n_iter: int) -> np.ndarray:
     """log ||A_n(theta_i)|| for each phase, via rescaled block products."""
     P = len(thetas)
-    run = np.broadcast_to(np.eye(2, dtype=complex), (P, 2, 2)).copy()
+    run = (np.ones(P), np.zeros(P), np.zeros(P), np.ones(P))
     logs = np.zeros(P)
     alpha = co.model.alpha if co.model is not None else Fraction(0)
     done = 0
     while done < n_iter:
         n = min(_BLOCK, n_iter - done)
         mats = co.matrices(orbit_phases(alpha, thetas, done, n))
-        block, blog = _tree_product(mats)
-        run = np.matmul(block, run)
-        scale = np.max(np.abs(run), axis=(1, 2))
-        run /= scale[:, None, None]
+        block, blog = _tree_product(_entries(mats))
+        run, scale = _rescaled_mul(block, run)
         logs += blog + np.log(scale)
         done += n
+    run = np.stack(run, -1).reshape(P, 2, 2)
     return logs + np.log(np.linalg.norm(run, ord=2, axis=(1, 2)))
 
 
@@ -298,15 +311,18 @@ def lyapunov(co: Cocycle, n_iter: int, n_phases: int = 8,
 def lyapunov_strip(co: Cocycle, eps_list, n_iter: int, n_phases: int = 8,
                    seed: int = 0) -> list:
     """One Lyapunov run per phase-complexification epsilon."""
-    co_eps = replace(co)        # one copy, so one |c| projection for the strip
-    out = []
-    for eps in eps_list:
-        co_eps.epsilon = float(eps)
-        out.append(lyapunov(co_eps, n_iter, n_phases, seed))
-    return out
+    return [lyapunov(replace(co, epsilon=float(eps)), n_iter, n_phases, seed)
+            for eps in eps_list]
 
 
-def _segment_matrices(co: Cocycle, theta: float, a: int, b: int) -> np.ndarray:
+def _segment_product(co: Cocycle, theta: float, a: int, b: int,
+                     steps) -> ScaledMatrix:
+    """Rescaled ordered product of steps(A) over the sites a..b, where
+    steps maps the (1, b - a + 1, 2, 2) stack of cocycle matrices."""
+    a, b = _integer("a", a), _integer("b", b)
+    _finite_phase(theta)
+    if b < a:
+        return ScaledMatrix(np.eye(2, dtype=complex), 0.0)
     alpha = co.model.alpha if co.model is not None else Fraction(0)
     phases = orbit_phases(alpha, float(theta), a, b - a + 1)
     if co.kind == "transfer":
@@ -316,7 +332,8 @@ def _segment_matrices(co: Cocycle, theta: float, a: int, b: int) -> np.ndarray:
             raise SingularHopping(
                 f"hopping vanishes at site {a + int(bad[0])}",
                 site=a + int(bad[0]))
-    return co.matrices(phases[None, :])
+    prod, logs = _tree_product(_entries(steps(co.matrices(phases[None, :]))))
+    return ScaledMatrix(np.stack(prod, -1).reshape(2, 2), float(logs[0]))
 
 
 def finite_product(co: Cocycle, theta: float, a: int, b: int) -> ScaledMatrix:
@@ -325,13 +342,7 @@ def finite_product(co: Cocycle, theta: float, a: int, b: int) -> ScaledMatrix:
     Empty range (b < a) gives the identity. Hopping zeros on the segment
     raise SingularHopping with the offending site.
     """
-    a, b = _integer("a", a), _integer("b", b)
-    _finite_phase(theta)
-    if b < a:
-        return ScaledMatrix(np.eye(2, dtype=complex), 0.0)
-    mats = _segment_matrices(co, theta, a, b)
-    prod, logs = _tree_product(mats)
-    return ScaledMatrix(prod[0], float(logs[0]))
+    return _segment_product(co, theta, a, b, lambda mats: mats)
 
 
 def finite_product_inv(co: Cocycle, theta: float, a: int, b: int) -> ScaledMatrix:
@@ -341,14 +352,8 @@ def finite_product_inv(co: Cocycle, theta: float, a: int, b: int) -> ScaledMatri
     underflows; each step's inverse is well conditioned, so the rescaled
     product of inverses in reversed order is the stable route.
     """
-    a, b = _integer("a", a), _integer("b", b)
-    _finite_phase(theta)
-    if b < a:
-        return ScaledMatrix(np.eye(2, dtype=complex), 0.0)
-    mats = _segment_matrices(co, theta, a, b)
-    invs = np.linalg.inv(mats[0])[::-1]
-    prod, logs = _tree_product(invs[None, :])
-    return ScaledMatrix(prod[0], float(logs[0]))
+    return _segment_product(co, theta, a, b,
+                            lambda mats: np.linalg.inv(mats)[:, ::-1])
 
 
 # ---------------------------------------------------------------------------

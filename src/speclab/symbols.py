@@ -67,14 +67,25 @@ class TorusSymbol:
             if np.any(np.abs(th.imag) > self.strip + 1e-15):
                 raise OutsideStrip(
                     f"|Im theta| exceeds certified strip {self.strip:.6g}")
-        z = np.exp(2j * np.pi * (th + self._phase_offset()))
+        out = self._series(np.exp(2j * np.pi * (th + self._phase_offset())))
+        if np.isscalar(theta) or th.ndim == 0:
+            return complex(out)
+        return out
+
+    def at(self, z: np.ndarray) -> np.ndarray:
+        """The sum at precomputed points z = e^{2 pi i theta}, theta
+        possibly complex: one exponential serves every symbol at theta."""
+        if self.half_phase:
+            z = z * cmath.exp(1j * math.pi * self.alpha)
+        return self._series(z)
+
+    def _series(self, z: np.ndarray) -> np.ndarray:
+        """sum_k c_k z^k with the basis phase already in z, ascending k."""
         out = np.zeros_like(z, dtype=complex)
         zk = z ** (-self.order)
         for j in range(len(self.coeffs)):
             out = out + self.coeffs[j] * zk
             zk = zk * z
-        if np.isscalar(theta) or th.ndim == 0:
-            return complex(out)
         return out
 
     def on_grid(self, grid: int):
@@ -252,6 +263,18 @@ def zeros_on_torus(sym: TorusSymbol) -> SymbolZeros:
     return SymbolZeros(roots, roots[mask], phases, resid)
 
 
+def modulus_strip(sym: TorusSymbol) -> float:
+    """Radius in Im theta to which |sym| continues analytically, as
+    sqrt(sym sym~): 0.95 of the nearest |log |r|| / 2 pi over the roots r
+    of the z-polynomial (sym~ vanishes at their reflections 1/conj(r))."""
+    zr = zeros_on_torus(sym)
+    if len(zr.on_circle) > 0:
+        raise VanishesOnTorus("|symbol| has no analytic continuation: the "
+                              "symbol vanishes on the torus")
+    depth = np.min(np.abs(np.log(np.abs(zr.roots))), initial=math.inf)
+    return 0.95 * float(depth) / TWO_PI
+
+
 # ---------------------------------------------------------------------------
 # modulus projection and twisting
 # ---------------------------------------------------------------------------
@@ -267,9 +290,7 @@ def modulus_symbol(sym: TorusSymbol, k_out: int, grid: int = 4096,
     """
     if grid < 4 * k_out + 4:
         grid = int(2 ** math.ceil(math.log2(4 * k_out + 4)))
-    zr = zeros_on_torus(sym)
-    if len(zr.on_circle) > 0:
-        raise VanishesOnTorus("cannot project modulus of a vanishing symbol")
+    radius = modulus_strip(sym)
     vals = np.abs(sym.on_grid(grid))
     if float(np.min(vals)) <= 1e-8:
         raise VanishesOnTorus("cannot project modulus of a vanishing symbol")
@@ -287,11 +308,7 @@ def modulus_symbol(sym: TorusSymbol, k_out: int, grid: int = 4096,
     if k_eff < k_out:
         coeffs = coeffs[k_out - k_eff:k_out + k_eff + 1]
     if strip is None:
-        if len(zr.roots) == 0:
-            strip = math.inf
-        else:
-            strip = 0.95 * float(
-                np.min(np.abs(np.log(np.abs(zr.roots))))) / TWO_PI
+        strip = radius
     if strip != math.inf and k_eff > 0:
         tail = float(np.abs(coeffs[0]) + np.abs(coeffs[-1]))
         if tail > 0:

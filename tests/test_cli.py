@@ -62,6 +62,22 @@ def test_malformed_input_exits_2(args, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("args", [
+    [*LAM, "--set", "epsilon=nan"],
+    [*LAM, "--set", "energy=nan"],
+    [*LAM, "--set", "energy=inf"],
+    ["--lambda", "0.3,0.5,0.3", "--energy", "0.31", "--set", "epsilon=0.01"],
+], ids=["epsilon-nan", "energy-nan", "energy-inf", "singular-strip"])
+def test_lyapunov_rejected_input_exits_2(args, tmp_path, capsys):
+    # non-finite energy or epsilon, and a strip of a model whose hopping
+    # vanishes on the torus, are refused before any product is taken
+    code = cli.main(["lyapunov", *args, "--n-iter", "2000",
+                     "--out-dir", str(tmp_path)])
+    assert code == 2, capsys.readouterr().err
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+
+
 def test_manifest_records_defaults_and_hash_ignores_them(tmp_path):
     assert cli.main(["beta", "--alpha", "golden",
                      "--out-dir", str(tmp_path / "a")]) == 0

@@ -9,7 +9,8 @@ from speclab import diophantine as dio
 from speclab import ehm
 from speclab import operators as ops
 from speclab import symbols as sym
-from speclab.errors import OutsideStrip, SingularHopping, ValidationError
+from speclab.errors import (OutsideStrip, SingularHopping, ValidationError,
+                            VanishesOnTorus)
 from conftest import random_sl2
 
 LN2 = math.log(2.0)
@@ -21,11 +22,19 @@ def const_cocycle(mat):
     return coc.Cocycle(None, 0.0, kind="custom", entries=ent)
 
 
+def one_matrix(co, theta):
+    return co.matrices(np.array([theta]))[0]
+
+
+def log_norm(p):
+    return p.log_scale + math.log(np.linalg.norm(p.matrix, 2))
+
+
 def test_matrix_at_free_normalized(golden):
     model = ehm.ehm_model((0.0, 1.0, 0.0), golden)
     model = coc.JacobiModel(model.c, sym.constant(0.0), golden)
     co = coc.Cocycle(model, 0.0, kind="normalized")
-    m = co.matrix_at(0.37)
+    m = one_matrix(co, 0.37)
     assert np.allclose(m, [[0, -1], [1, 0]], atol=1e-12)
 
 
@@ -33,7 +42,7 @@ def test_matrix_at_free_transfer(golden):
     model = coc.JacobiModel(ehm.hopping_symbol((0, 1.0, 0), golden.value),
                             sym.constant(0.0), golden)
     co = coc.Cocycle(model, 1.7, kind="transfer")
-    assert np.allclose(co.matrix_at(0.9), [[1.7, -1], [1, 0]], atol=1e-12)
+    assert np.allclose(one_matrix(co, 0.9), [[1.7, -1], [1, 0]], atol=1e-12)
 
 
 def test_matrix_at_singular_hopping(golden):
@@ -41,7 +50,7 @@ def test_matrix_at_singular_hopping(golden):
     co = coc.Cocycle(model, 0.1, kind="transfer")
     theta = (0.5 - golden.value / 2) % 1.0
     with pytest.raises(SingularHopping):
-        co.matrix_at(theta)
+        one_matrix(co, theta)
 
 
 def test_lyapunov_constant_diagonal():
@@ -64,13 +73,18 @@ def test_lyapunov_conjugation_invariance(ehm_112):
     # same cocycle conjugated by the constant matrix
     # build custom symbol entries for C A(theta) C^{-1} is impossible with
     # static symbols (theta-dependent); instead conjugate matrices directly
+    calls = []
+
     class ConjCocycle(coc.Cocycle):
         def matrices(self, thetas):
+            calls.append(np.size(thetas))
             out = super().matrices(thetas)
             return np.einsum("ij,...jk,kl->...il", C, out, Ci)
 
     co2 = ConjCocycle(ehm_112, E, kind="normalized")
     conj = coc.lyapunov(co2, n_iter=n, n_phases=6, seed=9)
+    # the kernel reads the cocycle through `matrices`, every step of it
+    assert sum(calls) == 6 * n
     cond = np.linalg.cond(C)
     assert abs(conj.value - base.value) <= 2 * math.log(cond) / n + 1e-9
 
@@ -140,8 +154,8 @@ def test_subadditivity_on_matched_samples(ehm_112):
         p2n = coc.finite_product(co, theta, 0, 2 * n - 1)
         pa = coc.finite_product(co, theta, 0, n - 1)
         pb = coc.finite_product(co, theta, n, 2 * n - 1)
-        lhs += p2n.log_norm / (2 * n)
-        rhs += (pa.log_norm + pb.log_norm) / (2 * n)
+        lhs += log_norm(p2n) / (2 * n)
+        rhs += (log_norm(pa) + log_norm(pb)) / (2 * n)
     assert lhs <= rhs + 1e-9
 
 
@@ -151,7 +165,7 @@ def test_finite_product_trivial_cases(ehm_112):
     assert np.allclose(ident.matrix, np.eye(2))
     single = coc.finite_product(co, 0.2, 0, 0)
     m = single.matrix * math.exp(single.log_scale)
-    assert np.allclose(m, co.matrix_at(0.2), atol=1e-12)
+    assert np.allclose(m, one_matrix(co, 0.2), atol=1e-12)
 
 
 def test_finite_product_inverse_is_stable(ehm_112):
@@ -185,12 +199,12 @@ def test_uniform_upper_bound_fitted(golden, amo_half):
     for n in (10, 100, 1000):
         for theta in rng.random(8):
             p = coc.finite_product(co, theta, 0, n - 1)
-            fit_excess.append(p.log_norm - (L + delta) * n)
+            fit_excess.append(log_norm(p) - (L + delta) * n)
     C = math.exp(max(fit_excess)) * 1.5
     for n in (10, 100, 1000):
         for theta in rng.random(8):
             p = coc.finite_product(co, theta, 0, n - 1)
-            assert p.log_norm <= math.log(C) + (L + delta) * n
+            assert log_norm(p) <= math.log(C) + (L + delta) * n
 
 
 def test_rotation_number_extremes(amo_half):
@@ -232,7 +246,7 @@ def test_estimate_json(ehm_112):
 
 # -- the normalized step against the Fourier projection of |c| ---------------
 
-def _projected_step(model, th, mod_c=None):
+def _projected_step(model, th):
     """The normalized step as built from the projection of |c| alone: the
     reference for the exact real-torus step."""
     mod = sym.modulus_symbol(model.c, 4 * model.c.order + 64)
@@ -272,6 +286,120 @@ def test_rotation_and_lyapunov_match_projection(golden, monkeypatch):
     assert abs(est.value - est_ref.value) <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [ehm.sigma((0.1, 0.5, 0.2)), (0.1, 0.5, 0.2),
+                                 (0.2, 0.4, 0.1)])
+def test_strip_modulus_matches_reflection_and_projection(golden, lam):
+    # off the torus a = sqrt(c c~); by Schwarz reflection c~(theta + i eps)
+    # = conj(c(theta - i eps)), and the projection of |c| continues the
+    # same function up to its truncation error
+    model = ehm.ehm_model(lam, golden)
+    c, af = model.c, golden.value
+    mod = sym.modulus_symbol(c, 4 * c.order + 64)
+    th = np.random.default_rng(4).random(1024)
+    for eps in (0.3 * mod.strip, 0.9 * mod.strip):
+        a, b, _, _ = coc._normalized_step(model, th + 1j * eps)
+        for got, x in ((a, th), (b, th - af)):
+            refl = np.sqrt(c.eval(x + 1j * eps) * np.conj(c.eval(x - 1j * eps)))
+            assert np.max(np.abs(got - refl)) <= 1e-12 * np.max(np.abs(refl))
+            proj = mod.eval(x + 1j * eps)
+            assert np.max(np.abs(got - proj)) <= 1e-6 * np.max(np.abs(proj))
+
+
+def test_strip_radius_from_roots(ehm_112):
+    # c c~ vanishes at |Im theta| = |log |r|| / 2 pi for each root r of c
+    roots = sym.zeros_on_torus(ehm_112.c).roots
+    R = 0.95 * np.min(np.abs(np.log(np.abs(roots)))) / (2 * math.pi)
+    assert sym.modulus_strip(ehm_112.c) == pytest.approx(R, rel=1e-15)
+    ok = coc.lyapunov(coc.Cocycle(ehm_112, 0.31, epsilon=0.99 * R), 2000, 2)
+    assert math.isfinite(ok.value)
+    with pytest.raises(OutsideStrip):
+        coc.lyapunov(coc.Cocycle(ehm_112, 0.31, epsilon=1.01 * R), 2000, 2)
+
+
+def test_strip_branch_margin(golden):
+    # on the dual of the singular (0.3, 0.5, 0.3), |arg(c c~)| reaches
+    # 2.40 rad, past 3 pi / 4, at the strip radius, and 1.90 rad at 0.9 of it
+    model = ehm.ehm_model(ehm.sigma((0.3, 0.5, 0.3)), golden)
+    R = sym.modulus_strip(model.c)
+    th = np.arange(4096) / 4096
+    a, b, _, _ = coc._normalized_step(model, th + 0.9j * R)
+    assert np.min(a.real) > 0 and np.min(b.real) > 0
+    with pytest.raises(OutsideStrip):
+        coc._normalized_step(model, th + 1j * R)
+
+
+# -- the unrolled block product against np.matmul -----------------------------
+
+def _tree_product_matmul(mats):
+    """The block product on (P, B, 2, 2) stacks with np.matmul: the
+    reference for the product on entry arrays."""
+    P = mats.shape[0]
+    logs = np.zeros(P)
+    while mats.shape[1] > 1:
+        B = mats.shape[1]
+        if B % 2:
+            odd = mats[:, -1:]
+            mats = mats[:, :-1]
+        else:
+            odd = None
+        mats = np.matmul(mats[:, 1::2], mats[:, 0::2])
+        if odd is not None:
+            mats = np.concatenate([mats, odd], axis=1)
+        scale = np.max(np.abs(mats), axis=(2, 3))
+        scale = np.where(scale > 0, scale, 1.0)
+        mats = mats / scale[..., None, None]
+        logs += np.sum(np.log(scale), axis=1)
+    return mats[:, 0], logs
+
+
+def _product_logs_matmul(co, thetas, n_iter, block=256):
+    P = len(thetas)
+    run = np.broadcast_to(np.eye(2, dtype=complex), (P, 2, 2)).copy()
+    logs = np.zeros(P)
+    alpha = co.model.alpha if co.model is not None else 0
+    done = 0
+    while done < n_iter:
+        n = min(block, n_iter - done)
+        mats = co.matrices(coc.orbit_phases(alpha, thetas, done, n))
+        prod, blog = _tree_product_matmul(mats)
+        run = np.matmul(prod, run)
+        scale = np.max(np.abs(run), axis=(1, 2))
+        run /= scale[:, None, None]
+        logs += blog + np.log(scale)
+        done += n
+    return logs + np.log(np.linalg.norm(run, ord=2, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_tree_product_matches_matmul(complex_):
+    rng = np.random.default_rng(8)
+    for B in (1, 2, 3, 7, 64, 1000):
+        mats = rng.normal(size=(3, B, 2, 2)) * 3.0
+        if complex_:
+            mats = mats + 1j * rng.normal(size=mats.shape)
+        prod, logs = coc._tree_product(coc._entries(mats))
+        prod = np.stack(prod, -1).reshape(-1, 2, 2)
+        ref, ref_logs = _tree_product_matmul(mats)
+        # the same product up to where the scale is kept
+        n, n_ref = (np.linalg.norm(m, 2, axis=(1, 2)) for m in (prod, ref))
+        assert np.max(np.abs(logs + np.log(n) - ref_logs - np.log(n_ref))) \
+            <= 1e-12 * max(1.0, np.max(np.abs(ref_logs)))
+        assert np.max(np.abs(prod / n[:, None, None]
+                             - ref / n_ref[:, None, None])) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,eps", [("normalized", 0.0), ("transfer", 0.0),
+                                      ("normalized", 0.05),
+                                      ("transfer", 0.05)])
+def test_product_logs_match_matmul(ehm_112, kind, eps):
+    co = coc.Cocycle(ehm_112, 0.31, kind=kind, epsilon=eps)
+    thetas = np.random.default_rng(2).random(3)
+    for n_iter in (1, 777, 10_000):
+        logs = coc._product_logs(co, thetas, n_iter)
+        ref = _product_logs_matmul(co, thetas, n_iter)
+        assert np.max(np.abs(logs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_singular_model_ids_rotation_identity(golden):
     # c vanishes on the torus, so |c| has no analytic Fourier projection;
     # the exact real-torus step still gives N(E) = 1 - 2 rho(E)
@@ -282,20 +410,26 @@ def test_singular_model_ids_rotation_identity(golden):
     assert np.max(np.abs(curve.N_of_E - (1 - 2 * rho))) <= 1e-2
 
 
-def test_modulus_projection_only_in_the_strip(ehm_112, monkeypatch):
-    calls = []
+def test_cocycles_never_call_modulus_symbol(ehm_112, monkeypatch):
+    # in the strip |c| continues as sqrt(c c~); the Fourier projection is
+    # a test oracle only
+    def refuse(*args, **kwargs):
+        raise AssertionError("modulus_symbol called")
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return sym.modulus_symbol(*args, **kwargs)
-
-    monkeypatch.setattr(coc, "modulus_symbol", counted)
+    monkeypatch.setattr(sym, "modulus_symbol", refuse)
+    assert not hasattr(coc, "modulus_symbol")
     co = coc.Cocycle(ehm_112, 0.31, kind="normalized")
     coc.lyapunov(co, n_iter=1000, n_phases=2, seed=0)
     coc.rotation_number(co, n_iter=1000)
-    assert calls == []
     coc.lyapunov_strip(co, [0.0, 0.01, 0.02], n_iter=1000, n_phases=2, seed=0)
-    assert len(calls) == 1
+
+
+def test_singular_model_strip_vanishes_on_torus(golden):
+    # c has a root on the circle, so |c| has no continuation off the torus
+    model = ehm.ehm_model((0.3, 0.5, 0.3), golden)
+    co = coc.Cocycle(model, 0.31, kind="normalized", epsilon=0.01)
+    with pytest.raises(VanishesOnTorus):
+        coc.lyapunov(co, n_iter=1000, n_phases=2)
 
 
 def test_rotation_number_rejects_complex_phase(ehm_112):
@@ -327,6 +461,12 @@ def test_rotation_sweep_rejects_no_steps(ehm_112):
     lambda m, co: coc.finite_product(co, 0.2, 0, 5.0),
     lambda m, co: coc.finite_product_inv(co, -np.inf, -5, -1),
     lambda m, co: coc.finite_product_inv(co, 0.2, -5.0, -1),
+    lambda m, co: coc.Cocycle(m, 0.3, epsilon=np.nan),
+    lambda m, co: coc.Cocycle(m, 0.3, epsilon=-np.inf),
+    lambda m, co: coc.Cocycle(m, np.nan),
+    lambda m, co: coc.Cocycle(m, np.inf, kind="transfer"),
+    lambda m, co: coc.Cocycle(m, complex(0.3, np.nan)),
+    lambda m, co: coc.lyapunov_strip(co, [0.01, np.nan], 100, 2),
 ])
 def test_non_finite_phase_and_non_integer_count_rejected(ehm_112, call):
     with pytest.raises(ValidationError):
