@@ -56,6 +56,8 @@ def parse_alpha(spec: str, depth: int = 40) -> dio.ContinuedFraction:
             return dio.synth_alpha(target, levels, q2=q2)
         if s.startswith("quotients:"):
             quots = [int(t) for t in s.split(":", 1)[1].split(",")]
+            if min(quots) < 1:
+                raise ValueError("partial quotients must be >= 1")
             cf = dio._from_quotients(quots, None, None, "quotients")
             exact = Fraction(cf.p[-1], cf.q[-1])
             return dio.ContinuedFraction(cf.quotients, cf.p, cf.q, exact,

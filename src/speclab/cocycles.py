@@ -53,6 +53,9 @@ class JacobiModel:
             raise ValidationError("potential must be self-adjoint")
         if self.alpha.depth < 3:
             raise ValidationError("frequency needs at least 3 certified quotients")
+        with np.errstate(over="ignore"):
+            if not math.isfinite(self.sup_bound()):
+                raise ValidationError("model coefficients need a finite sum")
 
     @property
     def c_tilde(self) -> TorusSymbol:

@@ -110,17 +110,6 @@ class ContinuedFraction:
             return Fraction(0), max(va, vb)
         return min(va, vb), max(va, vb)
 
-    def norm_proxy(self, k: int) -> Fraction:
-        """dist(k*alpha, Z) for the deepest-convergent proxy (exact rational)."""
-        pr = self.proxy
-        num = (k * pr.numerator) % pr.denominator
-        return Fraction(min(num, pr.denominator - num), pr.denominator)
-
-    def orbit_anchor(self, theta: float, k: int) -> float:
-        """Fractional part of theta + k*alpha, computed exactly then rounded."""
-        x = (Fraction(theta) + k * self.proxy) % 1
-        return float(x)
-
     def to_json(self) -> dict:
         return {
             "quotients": list(self.quotients),

@@ -75,19 +75,6 @@ def dualize(model: JacobiModel) -> DualModel:
     return DualModel(syms, model.alpha, bw_eff)
 
 
-def hermiticity_residual(dual: DualModel, grid: int = 257) -> float:
-    """sup over a test grid of |d_{-m'}(x) - conj d_{m'}(x + m' a)|."""
-    xs = np.arange(grid) / grid
-    af = dual.alpha.value
-    worst = 0.0
-    for mp, s in dual.d_symbols.items():
-        other = dual.d_symbols.get(-mp)
-        lhs = other.eval(xs) if other is not None else np.zeros(grid)
-        rhs = np.conj(s.eval(xs + mp * af))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # grid fields and the exchange transforms
 # ---------------------------------------------------------------------------

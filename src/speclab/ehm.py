@@ -36,6 +36,8 @@ def amo_model(coupling: float, alpha: ContinuedFraction) -> JacobiModel:
 def sigma(lam) -> tuple:
     """Duality map (l1, l2, l3) -> (l3/l2, 1/l2, l1/l2); an involution."""
     l1, l2, l3 = lam
+    if l2 == 0:
+        raise InvalidParameters("the duality map needs l2 != 0")
     return (l3 / l2, 1.0 / l2, l1 / l2)
 
 

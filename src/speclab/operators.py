@@ -39,8 +39,6 @@ def _edge_sites(M: int) -> int:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    model: object
-    phase: float
     N: int                       # window is [-N, N]
     band: np.ndarray             # scipy upper band storage, (bw+1, 2N+1)
 
@@ -93,7 +91,7 @@ def build(model, theta: float, N: int) -> TruncatedOperator:
             continue
         vals = np.asarray(bands[mp])
         ab[bw - mp, mp:] = vals[:M - mp]
-    return TruncatedOperator(model, float(theta), N, ab)
+    return TruncatedOperator(N, ab)
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,6 @@ class SpectralData:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     N: int
-    phase: float
     boundary_mass: np.ndarray | None
 
     def __post_init__(self):
@@ -118,9 +115,10 @@ def eigensolve(op: TruncatedOperator, want_vectors: bool = False) -> SpectralDat
     the per-vector mass in the outer 5% of sites.
 
     A tridiagonal window H with hopping h_m is solved as the real symmetric
-    matrix with off-diagonal |h_m|: H = G T G^* for the diagonal gauge
-    g_0 = 1, g_(m+1) = g_m conj(h_m)/|h_m| (factor 1 where h_m = 0), so the
-    vectors of H are g v. Wider bands go to the banded solver.
+    matrix T with off-diagonal |h_m|, and T's vectors are returned: they are
+    the vectors of H up to a diagonal unimodular gauge (H = G T G^*), and
+    every consumer reads |u|. Wider bands go to the banded solver, whose
+    vectors are H's own.
     """
     bw = min(op.bandwidth, op.size - 1)     # a window holds size-1 off-diagonals
     band = op.band[op.bandwidth - bw:]
@@ -128,14 +126,9 @@ def eigensolve(op: TruncatedOperator, want_vectors: bool = False) -> SpectralDat
     try:
         if bw <= 1:
             d = band[bw].real
-            h = band[0, 1:] if bw else band[0, :0]
-            a = np.abs(h)
+            a = np.abs(band[0, 1:] if bw else band[0, :0])
             if want_vectors:
-                w, v = scipy.linalg.eigh_tridiagonal(d, a)
-                unit = np.conj(h) / np.where(a > 0, a, 1.0)
-                unit[a == 0] = 1.0
-                g = np.concatenate(([1.0], np.cumprod(unit)))
-                vecs = g[:, None] * v
+                w, vecs = scipy.linalg.eigh_tridiagonal(d, a)
             else:
                 w = scipy.linalg.eigh_tridiagonal(d, a, eigvals_only=True)
         elif want_vectors:
@@ -149,7 +142,7 @@ def eigensolve(op: TruncatedOperator, want_vectors: bool = False) -> SpectralDat
         edge = _edge_sites(op.size)
         mass = (np.abs(vecs[:edge]) ** 2).sum(axis=0) + \
             (np.abs(vecs[-edge:]) ** 2).sum(axis=0)
-    return SpectralData(w, vecs, op.N, op.phase, mass)
+    return SpectralData(w, vecs, op.N, mass)
 
 
 def interior_indices(sd: SpectralData) -> np.ndarray:

@@ -97,22 +97,12 @@ class TorusSymbol:
         return TorusSymbol(np.conj(self.coeffs[::-1]), self.half_phase,
                            self.alpha, self.strip)
 
-    def translate(self, delta: float) -> "TorusSymbol":
-        """Exact coefficient-level translate: theta -> self(theta + delta)."""
-        ks = self.modes
-        return TorusSymbol(self.coeffs * np.exp(2j * np.pi * ks * delta),
-                           self.half_phase, self.alpha, self.strip)
-
     def is_real_fourier(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.coeffs.imag)) <= tol)
 
     def is_self_adjoint(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.coeffs - np.conj(self.coeffs[::-1])))
                     <= tol)
-
-    def scaled(self, factor: complex) -> "TorusSymbol":
-        return TorusSymbol(self.coeffs * factor, self.half_phase, self.alpha,
-                           self.strip)
 
     def to_json(self) -> dict:
         ks = self.modes
@@ -123,17 +113,6 @@ class TorusSymbol:
             "coeffs": [[int(k), float(c.real), float(c.imag)]
                        for k, c in zip(ks, self.coeffs)],
         }
-
-    @staticmethod
-    def from_json(blob: dict) -> "TorusSymbol":
-        entries = sorted(blob["coeffs"], key=lambda e: e[0])
-        kmax = max(abs(e[0]) for e in entries)
-        coeffs = np.zeros(2 * kmax + 1, dtype=complex)
-        for k, re, im in entries:
-            coeffs[k + kmax] = re + 1j * im
-        strip = blob.get("strip")
-        return TorusSymbol(coeffs, blob["half_phase"], blob["alpha"],
-                           math.inf if strip is None else strip)
 
 
 def from_dict(d: dict, half_phase: bool = False, alpha: float = 0.0,

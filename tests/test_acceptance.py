@@ -326,7 +326,8 @@ def test_criterion_11_diophantine_invariants():
             assert hi <= Fraction(1, cf.q[n + 1])
             checked_levels += 1
             if cf.q[n + 1] <= 100_000:
-                target = cf.norm_proxy(cf.q[n])
+                r = (cf.q[n] * pr.numerator) % den
+                target = Fraction(min(r, den - r), den)
                 for k in range(1, cf.q[n + 1]):
                     r = (k * pr.numerator) % den
                     assert Fraction(min(r, den - r), den) >= target

@@ -51,7 +51,19 @@ MALFORMED = {
     "axis-without-values": ["sweep", "--axis", "depth"],
     "zero-n_phases": ["duality-check", *LAM, "--N", "10", "--n-phases", "0"],
     "zero-n_iter": ["rotation", *LAM, "--n-iter", "0", "--set", "n_e=2"],
+    "quotient-below-1": ["beta", "--alpha", "quotients:-1,2"],
 }
+# a coupling with no finite coefficient sum, and an l2 = 0 under the
+# duality map, are refused before any numerics run
+MALFORMED.update({
+    f"{cmd}-lambda-{lam}": [cmd, "--lambda", lam]
+    for lam in ("nan,0.5,0.2", "inf,0.5,0.2", "1e308,0.5,1e308")
+    for cmd in ("winding", "lyapunov", "conjugacy", "gordon", "ids",
+                "duality-check")})
+MALFORMED.update({
+    f"{cmd}-lambda-{lam}": [cmd, "--lambda", lam]
+    for lam in ("0.1,0,0.2", "0,0,0")
+    for cmd in ("duality-check", "cohomology", "conjugacy")})
 
 
 @pytest.mark.parametrize("args", MALFORMED.values(), ids=list(MALFORMED))
@@ -60,6 +72,9 @@ def test_malformed_input_exits_2(args, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    manifest = tmp_path / "manifest.json"
+    assert not manifest.exists() or \
+        json.loads(manifest.read_text())["status"] == "error"
 
 
 @pytest.mark.parametrize("args", [

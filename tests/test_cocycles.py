@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -232,7 +233,7 @@ def test_rotation_monotone(amo_half):
 def test_orbit_phases_anchoring(golden):
     # long-orbit phase must match the exact rational reduction
     ph = coc.orbit_phases(golden, 0.3, 10**6, 4)
-    exact = golden.orbit_anchor(0.3, 10**6)
+    exact = float((Fraction(0.3) + 10**6 * golden.proxy) % 1)
     assert abs(ph[0] - exact) < 1e-9
 
 

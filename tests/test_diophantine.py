@@ -67,7 +67,8 @@ def test_best_approximation_small_levels():
     for n in range(cf.depth - 1):
         if cf.q[n + 1] > 10_000:
             break
-        target = cf.norm_proxy(cf.q[n])
+        r = (cf.q[n] * pr.numerator) % den
+        target = Fraction(min(r, den - r), den)
         for k in range(1, cf.q[n + 1]):
             r = (k * pr.numerator) % den
             assert Fraction(min(r, den - r), den) >= target
@@ -82,8 +83,10 @@ def test_sandwich_for_random_quotients(quots):
     # determinant identity of the convergent recurrence
     for n in range(1, cf.depth):
         assert cf.p[n] * cf.q[n - 1] - cf.p[n - 1] * cf.q[n] in (1, -1)
+    den = cf.proxy.denominator
     for n in range(cf.depth - 2):   # last level relates to the finite tail
-        d = cf.norm_proxy(cf.q[n])
+        r = (cf.q[n] * cf.proxy.numerator) % den
+        d = Fraction(min(r, den - r), den)
         assert Fraction(1, cf.q[n] + cf.q[n + 1]) <= d <= Fraction(1, cf.q[n + 1])
 
 

@@ -55,7 +55,13 @@ def test_double_dual_restores_family(golden):
 
 
 def test_dual_hermiticity_invariant(golden, ehm_112):
-    assert dua.hermiticity_residual(dua.dualize(ehm_112)) < 1e-12
+    # d_{-m'}(x) = conj d_{m'}(x + m' alpha) on a test grid
+    dual = dua.dualize(ehm_112)
+    xs = np.arange(257) / 257
+    for mp, s in dual.d_symbols.items():
+        lhs = dual.d_symbols[-mp].eval(xs)
+        rhs = np.conj(s.eval(xs + mp * golden.value))
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_dual_lattice_covariance(golden, ehm_112):

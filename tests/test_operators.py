@@ -61,15 +61,23 @@ def test_eigensolve_single_site(golden):
     assert sd.eigenvalues[0] == pytest.approx(2.0)
 
 
+def _gauge(op):
+    """g with H = G T G^* for a tridiagonal window: g_0 = 1 and
+    g_(m+1) = g_m conj(h_m)/|h_m|, with factor 1 where h_m = 0."""
+    h = op.band[0, 1:]
+    unit = np.where(h == 0, 1.0, np.conj(h) / np.where(h == 0, 1.0, np.abs(h)))
+    return np.concatenate(([1.0], np.cumprod(unit)))
+
+
 def test_eigensolve_residual_contract(golden, ehm_112):
     op = ops.build(ehm_112, 0.11, 500)
     sd = ops.eigensolve(op, want_vectors=True)
     dense = op.dense()
     hnorm = op.norm_bound()
-    res = np.linalg.norm(dense @ sd.eigenvectors -
-                         sd.eigenvectors * sd.eigenvalues, axis=0)
+    vecs = _gauge(op)[:, None] * sd.eigenvectors    # vectors of H
+    res = np.linalg.norm(dense @ vecs - vecs * sd.eigenvalues, axis=0)
     assert float(np.max(res)) < 1e-8 * hnorm
-    norms = np.linalg.norm(sd.eigenvectors, axis=0)
+    norms = np.linalg.norm(vecs, axis=0)
     assert np.max(np.abs(norms - 1)) < 1e-10
     assert len(sd.eigenvalues) == 2 * 500 + 1
     assert np.all(np.diff(sd.eigenvalues) >= 0)
@@ -94,7 +102,7 @@ def test_tridiagonal_route_matches_banded_oracle(golden, ehm_112):
         assert np.max(np.abs(sd.eigenvalues - w)) < tol, name
         assert np.max(np.abs(ops.eigensolve(op).eigenvalues - w)) < tol, name
         assert np.max(np.abs(sd.boundary_mass - _edge_mass(v))) < tol, name
-        assert np.iscomplexobj(sd.eigenvectors) == np.iscomplexobj(op.band)
+        assert sd.eigenvectors.dtype == np.float64, name
 
 
 def test_zero_hopping_keeps_residual_contract():
@@ -108,14 +116,14 @@ def test_zero_hopping_keeps_residual_contract():
         if dtype is complex:
             band[0, 1:] = band[0, 1:] * np.exp(2j * np.pi * rng.random(M - 1))
         band[0, 12] = 0.0                     # H[11, 12] = 0 splits the chain
-        op = ops.TruncatedOperator(None, 0.0, N, band)
+        op = ops.TruncatedOperator(N, band)
         sd = ops.eigensolve(op, want_vectors=True)
-        vecs = sd.eigenvectors
+        assert sd.eigenvectors.dtype == np.float64
+        vecs = _gauge(op)[:, None] * sd.eigenvectors
         res = np.linalg.norm(op.dense() @ vecs - vecs * sd.eigenvalues, axis=0)
         assert float(np.max(res)) < 1e-8 * op.norm_bound()
         assert np.max(np.abs(np.linalg.norm(vecs, axis=0) - 1)) < 1e-10
         assert np.all(np.diff(sd.eigenvalues) >= 0)
-        assert vecs.dtype == np.dtype(dtype)
 
 
 def test_bandwidth_two_dual_matches_dense(golden):
@@ -147,8 +155,9 @@ def test_covariance_of_windows(golden, ehm_112):
     # entry covariance: H(theta+alpha)[m, m'] = H(theta)[m+1, m'+1]
     assert np.max(np.abs(db[:-1, :-1] - da[1:, 1:])) < 1e-9
     sd = ops.eigensolve(a, want_vectors=True)
+    g = _gauge(a)
     for idx in ops.interior_indices(sd):
-        u = sd.eigenvectors[:, idx]
+        u = g * sd.eigenvectors[:, idx]
         if np.sum(np.abs(u[:2]) ** 2) + np.sum(np.abs(u[-2:]) ** 2) > 1e-12:
             continue
         v = np.zeros_like(u)
@@ -180,8 +189,7 @@ def test_decay_rate_synthetic_exponential(golden):
     n = np.arange(-N, N + 1)
     u = np.exp(-0.7 * np.abs(n))
     u = u / np.linalg.norm(u)
-    sd = ops.SpectralData(np.array([0.0]), u[:, None], N, 0.0,
-                          np.array([0.0]))
+    sd = ops.SpectralData(np.array([0.0]), u[:, None], N, np.array([0.0]))
     rate, r2 = ops.decay_rate(sd, 0)
     assert rate == pytest.approx(0.7, abs=1e-6)
     assert r2 > 0.999
@@ -248,8 +256,7 @@ def test_decay_rate_single_distance_is_too_short(golden):
     u[N] = 1.0
     u[N - 10] = u[N + 10] = 0.5
     u[N + 30] = 0.1
-    sd = ops.SpectralData(np.array([0.0]), u[:, None], N, 0.0,
-                          np.array([0.0]))
+    sd = ops.SpectralData(np.array([0.0]), u[:, None], N, np.array([0.0]))
     with pytest.raises(ValidationError):
         ops.decay_rate(sd, 0)
 
@@ -258,7 +265,7 @@ def test_decay_rate_peak_near_boundary(golden):
     N = 50
     u = np.zeros(2 * N + 1)
     u[3] = 1.0
-    sd = ops.SpectralData(np.array([0.0]), u[:, None], N, 0.0, np.array([1.0]))
+    sd = ops.SpectralData(np.array([0.0]), u[:, None], N, np.array([1.0]))
     with pytest.raises(PeakNearBoundary):
         ops.decay_rate(sd, 0)
 
@@ -282,7 +289,7 @@ def test_ipr_delta_and_uniform():
     delta[N] = 1.0
     uni = np.full(2 * N + 1, 1.0 / math.sqrt(2 * N + 1))
     sd = ops.SpectralData(np.zeros(2), np.stack([delta, uni], axis=1), N,
-                          0.0, np.zeros(2))
+                          np.zeros(2))
     assert ops.ipr(sd, 0) == pytest.approx(1.0)
     assert ops.ipr(sd, 1) == pytest.approx(1.0 / (2 * N + 1))
 
