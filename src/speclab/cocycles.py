@@ -1,20 +1,27 @@
 """Transfer-matrix and normalized cocycles over an irrational rotation.
 
-Products are evaluated in blocks: each block of matrices is built with
-one complex exponential per orbit point and reduced by pairwise
+Products read the cocycle along orbits in blocks. The points
+z_k = e^{2 pi i theta_k} of a block cost one complex exponential per
+256-step anchor (`_ANCHOR`), times a cached table of e^{2 pi i (j p mod q)/q}
+built in integers from the proxy p/q, so the orbit is the proxy's exact
+orbit up to rounding (~1e-15) at every k. Every symbol is summed there by
+Horner's rule. |c| is evaluated once per point: the step's b = |c|(theta
+- alpha) is a of the point before, and the transfer kind's c~ is read
+shifted by one the same way. A grid that is not an orbit
+(`Cocycle.matrices`) runs the same step kernel with the point before
+taken as z e^{-2 pi i alpha}. Each block is reduced by pairwise
 multiplication on the four entry arrays with per-level rescaling, so
-growth rates up to several nats per step never overflow. Orbit phases are
-re-anchored every 256 steps with exact rational arithmetic, which keeps
-the drift from the orbit of the proxy p/q below ~1e-12 out to 1e8
-steps. Against alpha the proxy itself is off by k |alpha - p/q|, about
-1.6e-9 at k = 1e8 for golden depth 40. That error stays in the
-numerical orbit: the singular-orbit decision
-(`diophantine.check_theta`) works on alpha's exact enclosure.
+growth rates up to several nats per step never overflow. Against alpha
+the proxy itself is off by k |alpha - p/q|, about 1.6e-9 at k = 1e8 for
+golden depth 40. That error stays in the numerical orbit: the
+singular-orbit decision (`diophantine.check_theta`) works on alpha's
+exact enclosure.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -90,60 +97,168 @@ def _finite_phase(theta) -> None:
         raise ValidationError(f"phase must be finite, got {theta!r}")
 
 
+@functools.lru_cache(maxsize=16)
+def _offsets(p: int, q: int) -> tuple:
+    """(j p mod q) / q for j < _ANCHOR, each correctly rounded, and
+    e^{2 pi i} of them: the exact orbit of the proxy p/q between anchors."""
+    frac = np.array([j * p % q / q for j in range(_ANCHOR)])
+    table = np.exp(2j * np.pi * frac)
+    frac.flags.writeable = table.flags.writeable = False
+    return frac, table
+
+
+def _anchored(alpha: ContinuedFraction | Fraction, k0: int,
+              count: int) -> tuple:
+    """The anchors (k p mod q) / q for k = k0, k0 + _ANCHOR, ... below
+    k0 + count, and the offset tables of the proxy p/q."""
+    proxy = alpha.proxy if isinstance(alpha, ContinuedFraction) else alpha
+    p, q = proxy.numerator, proxy.denominator
+    # int / int is correctly rounded, as float(Fraction) is
+    anchors = np.array([k * p % q / q
+                        for k in range(k0, k0 + count, _ANCHOR)])
+    return (anchors, *_offsets(p, q))
+
+
 def orbit_phases(alpha: ContinuedFraction | Fraction, theta0, k0: int,
                  count: int) -> np.ndarray:
     """theta0 + k*alpha mod 1 for k = k0..k0+count-1, re-anchored exactly.
 
-    theta0 may be a scalar or a vector of phases; the anchor of every
-    _ANCHOR steps is computed with exact rational arithmetic so the
-    double-precision drift from the proxy's orbit never exceeds the
-    accumulation over _ANCHOR steps; the proxy's own error is in the
-    module docstring.
+    theta0 may be a scalar or a vector of phases. Every phase is an exact
+    anchor (k0 + d) p/q mod 1, d a multiple of _ANCHOR, plus an exact
+    offset j p/q mod 1, both correctly rounded, reduced mod 1 once: the
+    drift from the proxy's orbit stays at rounding level, ~1e-15, at
+    every k; the proxy's own error is in the module docstring.
     """
-    proxy = alpha.proxy if isinstance(alpha, ContinuedFraction) else alpha
-    p, q = proxy.numerator, proxy.denominator
-    k0, af = int(k0), float(proxy)
+    anchors, frac, _ = _anchored(alpha, int(k0), count)
     th = np.atleast_1d(np.asarray(theta0, dtype=float))
-    # int / int is correctly rounded, as float(Fraction) is
-    anchors = np.array([(k0 + d) * p % q / q
-                        for d in range(0, count, _ANCHOR)])
-    steps = (anchors[:, None] + np.arange(_ANCHOR) * af).ravel()[:count]
+    steps = (anchors[:, None] + frac).ravel()[:count]
     out = (th[:, None] + steps) % 1.0
     if np.isscalar(theta0):
         return out[0]
     return out
 
 
-def _exp_points(model: JacobiModel, th: np.ndarray) -> tuple:
-    """z = e^{2 pi i th} and zb = e^{2 pi i (th - alpha)}: one exponential
-    per phase, and a scalar product for the shift."""
+def _orbit_points(alpha: ContinuedFraction | Fraction, thetas: np.ndarray,
+                  k0: int, count: int, eps: float = 0.0) -> tuple:
+    """(z, 1/z) with z = e^{2 pi i (theta_i + k alpha + i eps)} for
+    k = k0..k0+count-1, each (P, count): one exponential per phase and
+    anchor, times the cached offset table."""
+    anchors, _, table = _anchored(alpha, k0, count)
+    za = np.exp(2j * np.pi * ((thetas[:, None] + anchors) % 1.0))
+    if eps:
+        za *= math.exp(-TWO_PI * eps)
+    z = (za[:, :, None] * table).reshape(len(thetas), -1)[:, :count]
+    zinv = np.conj(z)                   # 1/z = conj(z) / e^{-4 pi eps}
+    if eps:
+        zinv *= math.exp(2 * TWO_PI * eps)
+    return z, zinv
+
+
+def _grid_points(model: JacobiModel, th: np.ndarray) -> tuple:
+    """(z, 1/z) at the pairs (th - alpha, th) along a new last axis: a
+    grid read as orbits of length 2, b from th - alpha."""
     z = np.exp(2j * np.pi * th)
-    return z, z * cmath.exp(-1j * TWO_PI * model.alpha.value)
+    z = np.stack([z * cmath.exp(-1j * TWO_PI * model.alpha.value), z], -1)
+    return z, 1 / z
+
+
+def _times_zinv(x: np.ndarray, zinv: np.ndarray, power: int) -> np.ndarray:
+    """x z^-power, in place on x."""
+    for _ in range(power):
+        x *= zinv
+    return x
+
+
+def _check_hopping(x: np.ndarray, k0: int | None = None) -> None:
+    """SingularHopping where |x| < 1e-12; the first such site (column
+    k0 + j of an orbit read) when k0 is given."""
+    bad = np.abs(x) < _HOPPING_TOL
+    if not np.any(bad):
+        return
+    if k0 is None:
+        raise SingularHopping("|c| < 1e-12 at a sampled phase")
+    site = k0 + int(np.argmax(bad.reshape(-1, bad.shape[-1]).any(axis=0)))
+    raise SingularHopping(f"hopping vanishes at site {site}", site=site)
+
+
+def _principal_sqrt(w: np.ndarray) -> np.ndarray:
+    """The principal square root where Re w >= -|Im w|, from real roots:
+    np.sqrt of a complex array costs about four times as much."""
+    t = np.sqrt(0.5 * (np.abs(w) + w.real))
+    out = np.zeros_like(w)
+    out.real = t
+    np.divide(w.imag, 2 * t, out=out.imag, where=t > 0)
+    return out
+
+
+def _step_kernel(model: JacobiModel, z: np.ndarray, zinv: np.ndarray,
+                 torus: bool) -> tuple:
+    """(a, b, v, s) of the normalized step [[(E - v)/s, -b/s], [a/s, 0]]
+    at the points z[..., 1:], with a = |c| there, b = |c| at the point
+    before (z[..., :-1]) and s = sqrt(ab): |c| is evaluated once per point
+    and b is a shifted by one.
+
+    On the real torus (torus=True) a and b are exact moduli and all four
+    are real; |c| = |P(z)| drops the unimodular factor z^-K. Off it a and
+    b are sqrt(c c~), the analytic continuation of |c| (c~ the conjugate
+    reversal).
+    """
+    c = model.c
+    v = _times_zinv(model.v.horner(z[..., 1:]), zinv[..., 1:],
+                    model.v.order)
+    if torus:
+        mod = np.abs(c.horner(z))
+        v = v.real                      # self-adjoint => real on T
+    else:
+        cc = _times_zinv(c.horner(z) * model.c_tilde.horner(z), zinv,
+                         2 * c.order)
+        # the principal root, refused where |arg(c c~)| > 3 pi / 4
+        if np.any(cc.real < -np.abs(cc.imag)):
+            raise OutsideStrip("arg(c c~) passes 3 pi / 4: the principal "
+                               "root may leave the continuation of |c|")
+        mod = _principal_sqrt(cc)
+    a, b = mod[..., 1:], mod[..., :-1]
+    s = np.sqrt(a * b) if torus else _principal_sqrt(a * b)
+    _check_hopping(s)
+    return a, b, v, s
 
 
 def _normalized_step(model: JacobiModel, th: np.ndarray) -> tuple:
-    """(a, b, v, s) of the normalized step [[(E - v)/s, -b/s], [a/s, 0]]
-    with a = |c|(th), b = |c|(th - alpha), s = sqrt(ab), from one
-    exponential per phase. On the real torus a and b are the exact moduli
-    and all four are real; off it a and b are sqrt(c c~), the analytic
-    continuation of |c| (c~ the conjugate reversal)."""
-    z, zb = _exp_points(model, th)
-    if np.iscomplexobj(th):
-        ct = model.c_tilde
-        cc = [model.c.at(w) * ct.at(w) for w in (z, zb)]
-        # the principal root, refused where |arg(c c~)| > 3 pi / 4
-        if any(np.any(w.real < -np.abs(w.imag)) for w in cc):
-            raise OutsideStrip("arg(c c~) passes 3 pi / 4: the principal "
-                               "root may leave the continuation of |c|")
-        a, b = np.sqrt(cc[0]), np.sqrt(cc[1])
-        v = model.v.at(z)
-    else:
-        a, b = np.abs(model.c.at(z)), np.abs(model.c.at(zb))
-        v = model.v.at(z).real              # self-adjoint => real on T
-    s = np.sqrt(a * b)
-    if np.any(np.abs(s) < _HOPPING_TOL):
-        raise SingularHopping("|c| < 1e-12 at a sampled phase")
-    return a, b, v, s
+    """`_step_kernel` at the phases th, possibly complex, b from
+    th - alpha: the grid read."""
+    z, zinv = _grid_points(model, th)
+    return tuple(x[..., 0] for x in
+                 _step_kernel(model, z, zinv, not np.iscomplexobj(th)))
+
+
+def _orbit_step(model: JacobiModel, thetas: np.ndarray, k0: int, count: int,
+                eps: float = 0.0) -> tuple:
+    """`_step_kernel` along the orbits theta_i + k alpha + i eps,
+    k = k0..k0+count-1, each (P, count): the orbit read, from the points
+    k0 - 1 onwards."""
+    z, zinv = _orbit_points(model.alpha, thetas, k0 - 1, count + 1, eps)
+    return _step_kernel(model, z, zinv, not eps)
+
+
+def _normalized_entries(energy: complex, a, b, v, s) -> tuple:
+    """The four entries of [[(E - v)/s, -b/s], [a/s, 0]]."""
+    r = 1.0 / s
+    return (energy - v) * r, -b * r, a * r, np.broadcast_to(0.0, np.shape(s))
+
+
+def _transfer_entries(model: JacobiModel, energy: complex, z: np.ndarray,
+                      zinv: np.ndarray, k0: int | None = None) -> tuple:
+    """Entries of the transfer step [[(E - v)/c, -c~/c], [1, 0]] at the
+    points z[..., 1:], with c~ at the point before: on an orbit c~ is
+    read shifted by one. A zero of c names its site when k0 is given."""
+    K = model.c.order
+    c = _times_zinv(model.c.horner(z[..., 1:]), zinv[..., 1:], K)
+    _check_hopping(c, k0)
+    ct = _times_zinv(model.c_tilde.horner(z[..., :-1]), zinv[..., :-1], K)
+    v = _times_zinv(model.v.horner(z[..., 1:]), zinv[..., 1:], model.v.order)
+    r = 1.0 / c
+    return ((energy - v) * r, -ct * r, np.broadcast_to(1.0, c.shape),
+            np.broadcast_to(0.0, c.shape))
 
 
 @dataclass
@@ -187,23 +302,36 @@ class Cocycle:
 
     def matrices(self, thetas) -> np.ndarray:
         """Stack of cocycle matrices at the given (possibly complex) phases;
-        real for the normalized kind on the real torus."""
+        real for the normalized kind on the real torus. The grid read: b
+        and c~ come from theta - alpha."""
         th = np.asarray(thetas, dtype=complex if self.epsilon else float)
         if self.epsilon:
             th = th + 1j * self.epsilon
         if self.kind == "custom":
             m = [s.eval(th) for row in self.entries for s in row]
         elif self.kind == "normalized":
-            a, b, v, s = _normalized_step(self.model, th)
-            m = [(self.energy - v) / s, -b / s, a / s, 0.0]
+            m = _normalized_entries(self.energy,
+                                    *_normalized_step(self.model, th))
         else:
-            z, zb = _exp_points(self.model, th)
-            c = self.model.c.at(z)
-            if np.any(np.abs(c) < _HOPPING_TOL):
-                raise SingularHopping("|c| < 1e-12 at a sampled phase")
-            ct = self.model.c_tilde.at(zb)
-            m = [(self.energy - self.model.v.at(z)) / c, -ct / c, 1.0, 0.0]
+            m = [x[..., 0] for x in _transfer_entries(
+                self.model, self.energy, *_grid_points(self.model, th))]
         return np.stack(np.broadcast_arrays(*m), -1).reshape(th.shape + (2, 2))
+
+    def orbit_entries(self, thetas: np.ndarray, k0: int, count: int) -> tuple:
+        """The four entry arrays (m00, m01, m10, m11), each (P, count), of
+        the cocycle along theta_i + k alpha, k = k0..k0+count-1: the orbit
+        read of every product. The custom kind reads `matrices` at
+        `orbit_phases`."""
+        if self.kind == "custom":
+            alpha = self.model.alpha if self.model is not None else Fraction(0)
+            return _entries(self.matrices(
+                orbit_phases(alpha, thetas, k0, count)))
+        if self.kind == "normalized":
+            return _normalized_entries(self.energy, *_orbit_step(
+                self.model, thetas, k0, count, self.epsilon))
+        z, zinv = _orbit_points(self.model.alpha, thetas, k0 - 1, count + 1,
+                                self.epsilon)
+        return _transfer_entries(self.model, self.energy, z, zinv, k0)
 
 
 @dataclass(frozen=True)
@@ -278,12 +406,10 @@ def _product_logs(co: Cocycle, thetas: np.ndarray, n_iter: int) -> np.ndarray:
     P = len(thetas)
     run = (np.ones(P), np.zeros(P), np.zeros(P), np.ones(P))
     logs = np.zeros(P)
-    alpha = co.model.alpha if co.model is not None else Fraction(0)
     done = 0
     while done < n_iter:
         n = min(_BLOCK, n_iter - done)
-        mats = co.matrices(orbit_phases(alpha, thetas, done, n))
-        block, blog = _tree_product(_entries(mats))
+        block, blog = _tree_product(co.orbit_entries(thetas, done, n))
         run, scale = _rescaled_mul(block, run)
         logs += blog + np.log(scale)
         done += n
@@ -326,16 +452,9 @@ def _segment_product(co: Cocycle, theta: float, a: int, b: int,
     _finite_phase(theta)
     if b < a:
         return ScaledMatrix(np.eye(2, dtype=complex), 0.0)
-    alpha = co.model.alpha if co.model is not None else Fraction(0)
-    phases = orbit_phases(alpha, float(theta), a, b - a + 1)
-    if co.kind == "transfer":
-        cvals = co.model.c.eval(phases)
-        bad = np.nonzero(np.abs(cvals) < _HOPPING_TOL)[0]
-        if len(bad):
-            raise SingularHopping(
-                f"hopping vanishes at site {a + int(bad[0])}",
-                site=a + int(bad[0]))
-    prod, logs = _tree_product(_entries(steps(co.matrices(phases[None, :]))))
+    m = co.orbit_entries(np.array([float(theta)]), a, b - a + 1)
+    mats = np.stack(np.broadcast_arrays(*m), -1).reshape(1, -1, 2, 2)
+    prod, logs = _tree_product(_entries(steps(mats)))
     return ScaledMatrix(np.stack(prod, -1).reshape(2, 2), float(logs[0]))
 
 
@@ -416,8 +535,8 @@ def rotation_sweep(model: JacobiModel, energies: np.ndarray,
     done = 0
     while done < n_iter:
         n = min(segments * _SEGMENT, n_iter - done)
-        step = _normalized_step(
-            model, orbit_phases(model.alpha, theta0, done, n))
+        step = [x[0] for x in
+                _orbit_step(model, np.array([float(theta0)]), done, n)]
         body = n - n % _SEGMENT         # a short tail only in the last chunk
         for lo, hi in ((0, body), (body, n)):
             if hi > lo:

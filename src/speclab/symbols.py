@@ -67,25 +67,31 @@ class TorusSymbol:
             if np.any(np.abs(th.imag) > self.strip + 1e-15):
                 raise OutsideStrip(
                     f"|Im theta| exceeds certified strip {self.strip:.6g}")
-        out = self._series(np.exp(2j * np.pi * (th + self._phase_offset())))
-        if np.isscalar(theta) or th.ndim == 0:
-            return complex(out)
-        return out
-
-    def at(self, z: np.ndarray) -> np.ndarray:
-        """The sum at precomputed points z = e^{2 pi i theta}, theta
-        possibly complex: one exponential serves every symbol at theta."""
-        if self.half_phase:
-            z = z * cmath.exp(1j * math.pi * self.alpha)
-        return self._series(z)
-
-    def _series(self, z: np.ndarray) -> np.ndarray:
-        """sum_k c_k z^k with the basis phase already in z, ascending k."""
+        z = np.exp(2j * np.pi * (th + self._phase_offset()))
         out = np.zeros_like(z, dtype=complex)
         zk = z ** (-self.order)
         for j in range(len(self.coeffs)):
             out = out + self.coeffs[j] * zk
             zk = zk * z
+        if np.isscalar(theta) or th.ndim == 0:
+            return complex(out)
+        return out
+
+    def horner(self, z: np.ndarray) -> np.ndarray:
+        """P(z) = sum_j d_j z^j, j = 0..2K, by Horner's rule, at
+        precomputed points z = e^{2 pi i theta}, theta possibly complex:
+        self(theta) = z^-K P(z). d_j = c_(j-K) e^{i pi alpha (j-K)}
+        carries the half-phase factor, so one exponential per point
+        serves every symbol."""
+        d = self.coeffs
+        if self.half_phase:
+            d = d * np.exp(1j * math.pi * self.alpha * self.modes)
+        if len(d) == 1:
+            return np.full(np.shape(z), d[0])
+        out = d[-1] * z + d[-2]
+        for c in d[-3::-1]:
+            out *= z
+            out += c
         return out
 
     def on_grid(self, grid: int):

@@ -77,14 +77,16 @@ def test_lyapunov_conjugation_invariance(ehm_112):
     calls = []
 
     class ConjCocycle(coc.Cocycle):
-        def matrices(self, thetas):
-            calls.append(np.size(thetas))
-            out = super().matrices(thetas)
-            return np.einsum("ij,...jk,kl->...il", C, out, Ci)
+        def orbit_entries(self, thetas, k0, count):
+            m = super().orbit_entries(thetas, k0, count)
+            calls.append(np.size(m[0]))
+            out = np.stack(np.broadcast_arrays(*m), -1).reshape(
+                m[0].shape + (2, 2))
+            return coc._entries(np.einsum("ij,...jk,kl->...il", C, out, Ci))
 
     co2 = ConjCocycle(ehm_112, E, kind="normalized")
     conj = coc.lyapunov(co2, n_iter=n, n_phases=6, seed=9)
-    # the kernel reads the cocycle through `matrices`, every step of it
+    # the kernel reads the cocycle through `orbit_entries`, every step of it
     assert sum(calls) == 6 * n
     cond = np.linalg.cond(C)
     assert abs(conj.value - base.value) <= 2 * math.log(cond) / n + 1e-9
@@ -280,11 +282,78 @@ def test_rotation_and_lyapunov_match_projection(golden, monkeypatch):
     co = coc.Cocycle(model, 0.31, kind="normalized")
     rho = coc.rotation_sweep(model, energies, n_iter=20_000, theta0=0.3)
     est = coc.lyapunov(co, n_iter=20_000, n_phases=4, seed=3)
-    monkeypatch.setattr(coc, "_normalized_step", _projected_step)
+    # both read orbits through `_orbit_step`: the reference replaces it
+    reads = []
+
+    def projected(model, thetas, k0, count, eps=0.0):
+        assert eps == 0.0
+        reads.append(count)
+        return _projected_step(
+            model, coc.orbit_phases(model.alpha, thetas, k0, count))
+
+    monkeypatch.setattr(coc, "_orbit_step", projected)
     rho_ref = coc.rotation_sweep(model, energies, n_iter=20_000, theta0=0.3)
     est_ref = coc.lyapunov(co, n_iter=20_000, n_phases=4, seed=3)
+    assert sum(reads) == 20_000 * 2
     assert np.max(np.abs(rho - rho_ref)) <= 1e-12
     assert abs(est.value - est_ref.value) <= 1e-12
+
+
+# -- the orbit read against the grid read at orbit phases ----------------------
+
+@pytest.mark.parametrize("lam", [(0.1, 0.5, 0.2), ehm.sigma((0.1, 0.5, 0.2))])
+@pytest.mark.parametrize("kind,eps", [("normalized", 0.0),
+                                      ("normalized", 0.05),
+                                      ("transfer", 0.0), ("transfer", 0.05)])
+def test_orbit_entries_match_matrices_at_orbit_phases(golden, lam, kind, eps):
+    # the orbit read takes z from the anchor table and b (c~) from the
+    # point before; the grid read takes z = e^{2 pi i theta} and
+    # zb = z e^{-2 pi i alpha} at the same phases
+    co = coc.Cocycle(ehm.ehm_model(lam, golden), 0.31, kind=kind,
+                     epsilon=eps)
+    thetas = np.random.default_rng(6).random(3)
+    for k0, count in ((0, 1), (0, 256), (1000, 777), (-300, 2049)):
+        got = np.stack(np.broadcast_arrays(*co.orbit_entries(
+            thetas, k0, count)), -1).reshape(3, count, 2, 2)
+        ref = co.matrices(coc.orbit_phases(golden, thetas, k0, count))
+        assert got.dtype == ref.dtype
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_orbit_phases_agree_with_exact_fractions(golden):
+    thetas = np.array([0.0, 0.3, 0.9])
+    ph = coc.orbit_phases(golden, thetas, 1000, 777)
+    for i, th in enumerate(thetas):
+        for k in (0, 1, 255, 256, 500, 776):
+            exact = (Fraction(th) + (1000 + k) * golden.proxy) % 1
+            assert abs(ph[i, k] - float(exact)) <= 2e-15
+
+
+def test_orbit_read_refuses_branch_and_zero_hopping(golden):
+    # the dual of the singular (0.3, 0.5, 0.3) passes 3 pi / 4 at the
+    # strip radius along orbits as on the grid
+    model = ehm.ehm_model(ehm.sigma((0.3, 0.5, 0.3)), golden)
+    R = sym.modulus_strip(model.c)
+    thetas = np.random.default_rng(1).random(2)
+    ok = coc.Cocycle(model, 0.31, epsilon=0.9 * R)
+    assert np.all(np.isfinite(ok.orbit_entries(thetas, 7, 4096)[0]))
+    with pytest.raises(OutsideStrip):
+        coc.Cocycle(model, 0.31, epsilon=R).orbit_entries(thetas, 7, 4096)
+    # c vanishes at site 1000 of the singular model: the transfer read
+    # names the site from its own c
+    model = ehm.ehm_model((0.2, 0.5, 0.3), golden)
+    theta0 = (0.5 - golden.value / 2 - 1000 * golden.value) % 1.0
+    co = coc.Cocycle(model, 0.1, kind="transfer")
+    with pytest.raises(SingularHopping) as exc:
+        co.orbit_entries(np.array([0.7, theta0]), 999, 301)
+    assert exc.value.site == 1000
+    # a hopping that vanishes everywhere stops the normalized reads too
+    zero = coc.JacobiModel(sym.TorusSymbol(np.zeros(3), True, golden.value),
+                           model.v, golden)
+    with pytest.raises(SingularHopping):
+        coc.lyapunov(coc.Cocycle(zero, 0.1), 300, 2)
+    with pytest.raises(SingularHopping):
+        coc.rotation_sweep(zero, np.array([0.1]), 300)
 
 
 @pytest.mark.parametrize("lam", [ehm.sigma((0.1, 0.5, 0.2)), (0.1, 0.5, 0.2),
