@@ -217,9 +217,11 @@ def _step_kernel(model: JacobiModel, z: np.ndarray, zinv: np.ndarray,
             raise OutsideStrip("arg(c c~) passes 3 pi / 4: the principal "
                                "root may leave the continuation of |c|")
         mod = _principal_sqrt(cc)
+    # |c| >= 1e-12 at every point, so s >= 1e-12 too; a test on s alone
+    # would pass a zero of c next to a large |c|
+    _check_hopping(mod)
     a, b = mod[..., 1:], mod[..., :-1]
     s = np.sqrt(a * b) if torus else _principal_sqrt(a * b)
-    _check_hopping(s)
     return a, b, v, s
 
 

@@ -31,6 +31,9 @@ from .errors import (
 from .symbols import TorusSymbol, log_symbol
 
 TWO_PI = 2.0 * math.pi
+# relative size below which a Fourier mode of the sampled cocycle is
+# rounding; the conjugacy fit drops the rows that only such modes fill
+_MODE_FLOOR = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +220,23 @@ def fit_conjugacy(co: Cocycle, rho_target: float, K_B: int,
     Fourier coefficient of the first column real nonnegative. Raises
     IllConditioned when the two smallest singular values coincide to 1e-8
     (genuinely nonunique fit). Custom cocycles without a model must pass
-    the frequency explicitly.
+    the frequency explicitly. The grid must have at least 2 K_B + 1
+    points, else distinct modes of B alias on it (ValidationError).
+
+    The system is the grid residual of each column of B(.+alpha) A - R B
+    at the `grid` points, taken to Fourier space by the unitary DFT: with
+    A^ = fft(A) / grid, row m of block (l, j) is
+    sqrt(grid) (A^_jl(m - k) e^{2 pi i k alpha} - [j = l] e^{2 pi i rho}
+    [m = k]) over the unknowns z_j(k), |k| <= K_B. A unitary change of
+    rows leaves the singular values and right vectors as they are. Only
+    the rows |m| <= K_B + W are kept, W the largest |n| with
+    max_jl |A^_jl(n)| above `_MODE_FLOOR` max |A^|: every dropped row
+    holds only modes of A at its rounding floor. When those rows would
+    cover the grid, all of them are kept.
     """
+    if K_B < 0 or grid < 2 * K_B + 1:
+        raise ValidationError(f"need K_B >= 0 and grid >= 2 K_B + 1, got "
+                              f"K_B = {K_B}, grid = {grid}")
     if co.kind != "normalized" and co.entries is None:
         raise ValidationError("fit needs a normalized or custom cocycle")
     if alpha is not None:
@@ -229,20 +247,22 @@ def fit_conjugacy(co: Cocycle, rho_target: float, K_B: int,
         raise ValidationError("custom cocycle fits need an explicit alpha")
     xs = np.arange(grid) / grid
     A = co.matrices(xs).real         # real SL(2, R) on the real torus
+    A_hat = np.fft.fft(A, axis=0) / grid
+    peak = np.max(np.abs(A_hat), axis=(1, 2))
+    modes = np.fft.fftfreq(grid, 1.0 / grid)
+    W = int(np.max(np.abs(modes[peak > _MODE_FLOOR * peak.max()]),
+                   initial=0))
     ks = np.arange(-K_B, K_B + 1)
     nb = len(ks)
-    phase = cmath.exp(2j * math.pi * rho_target)
-    basis = np.exp(2j * np.pi * np.outer(xs, ks))             # (G, nb)
-    basis_shift = np.exp(2j * np.pi * np.outer((xs + af), ks))
-    # rows: residual of column l at theta_g; unknowns (j, k)
-    M = np.zeros((2 * grid, 2 * nb), dtype=complex)
+    half = K_B + W
+    ms = np.arange(-half, half + 1) if 2 * half + 1 < grid else \
+        np.arange(grid)
+    lag = (ms[:, None] - ks[None, :]) % grid
+    # rows (l, m), unknowns (j, k)
+    M = A_hat[lag].transpose(3, 0, 2, 1) * np.exp(2j * np.pi * af * ks)
     for l in range(2):
-        rows = slice(l * grid, (l + 1) * grid)
-        for j in range(2):
-            block = basis_shift * A[:, j, l][:, None]
-            if j == l:
-                block = block - phase * basis
-            M[rows, j * nb:(j + 1) * nb] = block
+        M[l, :, l] -= cmath.exp(2j * math.pi * rho_target) * (lag == 0)
+    M = math.sqrt(grid) * M.reshape(2 * len(ms), 2 * nb)
     if regularization > 0:
         penal = regularization * np.abs(np.concatenate([ks, ks]))
         M = np.vstack([M, np.diag(penal)])

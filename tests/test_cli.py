@@ -52,6 +52,10 @@ MALFORMED = {
     "zero-n_phases": ["duality-check", *LAM, "--N", "10", "--n-phases", "0"],
     "zero-n_iter": ["rotation", *LAM, "--n-iter", "0", "--set", "n_e=2"],
     "quotient-below-1": ["beta", "--alpha", "quotients:-1,2"],
+    # modes of B alias on a grid of fewer than 2 K_B + 1 points
+    "conjugacy-grid-below-2K_B+1": ["conjugacy", *LAM, "--K-B", "32",
+                                    "--set", "grid=16", "--energy", "0.3",
+                                    "--n-iter", "2000"],
 }
 # a coupling with no finite coefficient sum, and an l2 = 0 under the
 # duality map, are refused before any numerics run

@@ -47,11 +47,19 @@ def test_matrix_at_free_transfer(golden):
 
 
 def test_matrix_at_singular_hopping(golden):
+    # |c| is 6e-15 at the offset phase: the normalized kind tests |c| at
+    # each point, not s = sqrt(ab), which a large neighbour lifts past 1e-12
     model = ehm.ehm_model((0.2, 0.5, 0.3), golden)
-    co = coc.Cocycle(model, 0.1, kind="transfer")
-    theta = (0.5 - golden.value / 2) % 1.0
-    with pytest.raises(SingularHopping):
-        one_matrix(co, theta)
+    for kind in ("transfer", "normalized"):
+        co = coc.Cocycle(model, 0.1, kind=kind)
+        for offset in (0.0, 1e-14):
+            theta = (0.5 - golden.value / 2 + offset) % 1.0
+            with pytest.raises(SingularHopping):
+                one_matrix(co, theta)
+            with pytest.raises(SingularHopping):
+                co.matrices([theta, theta + golden.value])
+            with pytest.raises(SingularHopping):
+                co.orbit_entries(np.array([theta]), 0, 2)
 
 
 def test_lyapunov_constant_diagonal():

@@ -83,6 +83,114 @@ def test_mc_conjugation_branch_obstruction(golden):
     red.unimodular_phase(model, 512, lift="2T")   # double cover allowed
 
 
+@pytest.fixture(scope="module")
+def subcritical(golden):
+    """The normalized cocycle of the dual of (0.1, 0.5, 0.2) at a
+    subcritical energy, and its rotation number."""
+    mh = ehm.ehm_model(ehm.sigma((0.1, 0.5, 0.2)), golden)
+    co = coc.Cocycle(mh, -4.388399155513155, kind="normalized")
+    return co, coc.rotation_number(co, n_iter=400_000)
+
+
+def grid_fit(co, rho, K_B, grid, regularization, af):
+    """The grid-row least-squares system, 2 grid rows of B(. + alpha) A -
+    R B, and its gauged, L2-normalized smallest right singular vector: the
+    oracle of the Fourier-row fit. Returns (z, singular values)."""
+    xs = np.arange(grid) / grid
+    A = co.matrices(xs).real
+    ks = np.arange(-K_B, K_B + 1)
+    nb = len(ks)
+    phase = np.exp(2j * np.pi * rho)
+    basis = np.exp(2j * np.pi * np.outer(xs, ks))
+    basis_shift = np.exp(2j * np.pi * np.outer(xs + af, ks))
+    M = np.zeros((2 * grid, 2 * nb), dtype=complex)
+    for l in range(2):
+        for j in range(2):
+            block = basis_shift * A[:, j, l][:, None]
+            if j == l:
+                block = block - phase * basis
+            M[l * grid:(l + 1) * grid, j * nb:(j + 1) * nb] = block
+    if regularization > 0:
+        M = np.vstack([M, np.diag(regularization *
+                                  np.abs(np.concatenate([ks, ks])))])
+    _, svals, Vh = np.linalg.svd(M, full_matrices=False)
+    z = Vh[-1].conj().reshape(2, nb)
+    pivot = z[0, K_B] if abs(z[0, K_B]) >= 1e-12 else z[1, K_B]
+    z = z * (abs(pivot) / pivot)
+    return z / np.sqrt(np.sum(np.abs(z) ** 2)), svals
+
+
+def fit_and_system(monkeypatch, *args, **kw):
+    """fit_conjugacy, with the shape and singular values of the system
+    that it passed to the SVD."""
+    svd, seen = np.linalg.svd, []
+
+    def spy(a, *p, **k):
+        out = svd(a, *p, **k)
+        if not seen:
+            seen.append((a.shape, out[1]))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", spy)
+        cand = red.fit_conjugacy(*args, **kw)
+    return cand, *seen[0]
+
+
+@pytest.mark.parametrize("K_B, grid, regularization", [
+    (48, 1024, 0.0),       # the benchmark's fit
+    (64, 2048, 0.0),       # criterion 7's fit
+    (32, 128, 0.0),        # a coarse grid
+    (48, 128, 0.0),        # 2 (K_B + W) + 1 >= grid: every row kept
+    (48, 1024, 1e-3),
+])
+def test_fourier_fit_matches_grid_oracle(monkeypatch, golden, subcritical,
+                                         K_B, grid, regularization):
+    co, rho = subcritical
+    cand, shape, svals = fit_and_system(monkeypatch, co, rho, K_B, grid,
+                                        regularization)
+    z, ref = grid_fit(co, rho, K_B, grid, regularization, golden.value)
+    assert np.max(np.abs(cand.z_coeffs - z)) < 1e-10
+    # every singular value within 1e-13 of the largest: an SVD is exact to
+    # about 1e-15 of it, so on sigma_min = 6e-7 a relative bound of 1e-9
+    # would test rounding (both systems' sigma_min differ by 7e-9 of it)
+    assert np.max(np.abs(svals - ref)) <= 1e-13 * ref[0]
+    xs = np.arange(grid) / grid
+    oracle = red.ConjugacyCandidate(z, rho, K_B, 0.0, 0, 0.0, False,
+                                    golden.value)
+    assert cand.degree == red.degree(oracle.matrices(xs))
+    if (K_B, grid, regularization) == (48, 1024, 0.0):
+        assert shape[0] < 2 * grid
+
+
+@pytest.mark.parametrize("constructed", [False, True],
+                         ids=["rotation", "constructed"])
+def test_fourier_fit_matches_grid_oracle_custom(monkeypatch, golden,
+                                                constructed):
+    phi = 0.173
+    A = rot(phi)
+    if constructed:
+        C = random_sl2(np.random.default_rng(5))
+        A = C @ A @ np.linalg.inv(C)
+    co = const_cocycle(A)
+    cand, shape, svals = fit_and_system(monkeypatch, co, phi, 4, 256,
+                                        alpha=golden.value)
+    z, ref = grid_fit(co, phi, 4, 256, 0.0, golden.value)
+    assert np.max(np.abs(cand.z_coeffs - z)) < 1e-10
+    assert np.max(np.abs(svals - ref)) <= 1e-13 * ref[0]
+    oracle = red.ConjugacyCandidate(z, phi, 4, 0.0, 0, 0.0, False,
+                                    golden.value)
+    assert cand.degree == red.degree(oracle.matrices(np.arange(256) / 256))
+    assert shape == (2 * 9, 2 * 9)      # a constant A has W = 0
+
+
+@pytest.mark.parametrize("K_B, grid", [(-1, 128), (32, 16), (32, 64)])
+def test_fit_refuses_grid_that_aliases(subcritical, K_B, grid):
+    co, rho = subcritical
+    with pytest.raises(ValidationError):
+        red.fit_conjugacy(co, rho, K_B, grid)
+
+
 def test_fit_constant_rotation(golden):
     phi = 0.173
     cand = red.fit_conjugacy(const_cocycle(rot(phi)), phi, K_B=4, grid=256,
@@ -188,24 +296,18 @@ def test_dual_eigenvector_rejects_poor_candidate(golden, ehm_112):
         red.dual_eigenvector_from_conjugacy(bad, co)
 
 
-def test_subcritical_dual_fit_smoke(golden):
-    lam_hat = ehm.sigma((0.1, 0.5, 0.2))
-    mh = ehm.ehm_model(lam_hat, golden)
-    co = coc.Cocycle(mh, -4.388399155513155, kind="normalized")
-    rho = coc.rotation_number(co, n_iter=400_000)
+def test_subcritical_dual_fit_smoke(subcritical):
+    co, rho = subcritical
     cand = red.fit_conjugacy(co, rho, K_B=32, grid=1024)
     assert cand.residual < 1e-3
     u, resid = red.dual_eigenvector_from_conjugacy(cand, co)
     assert resid <= 10 * max(cand.residual, 1e-12) + 1e-6
 
 
-def test_dual_eigenvector_residual_scales_with_fit(golden):
+def test_dual_eigenvector_residual_scales_with_fit(subcritical):
     # perturbing a near-exact conjugacy degrades the eigen-equation
     # residual roughly linearly (within a factor 20 band)
-    lam_hat = ehm.sigma((0.1, 0.5, 0.2))
-    mh = ehm.ehm_model(lam_hat, golden)
-    co = coc.Cocycle(mh, -4.388399155513155, kind="normalized")
-    rho = coc.rotation_number(co, n_iter=400_000)
+    co, rho = subcritical
     cand = red.fit_conjugacy(co, rho, K_B=32, grid=1024)
     rng = np.random.default_rng(9)
     noise = rng.normal(size=cand.z_coeffs.shape) + \
