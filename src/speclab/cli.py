@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -73,6 +74,14 @@ def _count(v, least: int = 1) -> int:
     if f < least or not f.is_integer():
         raise ValueError(f"{v!r} is not an integer >= {least}")
     return int(f)
+
+
+def _finite(v) -> float:
+    """A float that is neither nan nor infinite."""
+    f = float(v)
+    if not math.isfinite(f):
+        raise ValueError(f"{v!r} is not finite")
+    return f
 
 
 def _natural(v) -> int:
@@ -293,16 +302,17 @@ def _cmd_atlas(p, seed, out_dir):
 # ---------------------------------------------------------------------------
 
 _MODEL = {"lambda": (parse_lambda, REQUIRED), "alpha": (str, "golden")}
-_E_GRID = {"e_min": (float, None), "e_max": (float, None), "n_e": (_count, 50)}
+_E_GRID = {"e_min": (_finite, None), "e_max": (_finite, None),
+           "n_e": (_count, 50)}
 
 COMMANDS = {
     "beta": (_cmd_beta, {"alpha": (str, REQUIRED), "depth": (_count, 30),
                          "window": (_count, None)}),
     "winding": (_cmd_winding, {**_MODEL, "grid": (_count, 4096)}),
     "lyapunov": (_cmd_lyapunov, {
-        **_MODEL, "energy": (float, None), "kind": (str, "normalized"),
+        **_MODEL, "energy": (_finite, None), "kind": (str, "normalized"),
         "n_iter": (_count, 100_000), "n_phases": (_count, 8),
-        "epsilon": (float, 0.0), "dual": (_bool, False)}),
+        "epsilon": (_finite, 0.0), "dual": (_bool, False)}),
     "ids": (_cmd_ids, {**_MODEL, **_E_GRID, "N": (_count, 500),
                        "n_phases": (_count, 8), "dual": (_bool, False)}),
     "rotation": (_cmd_rotation, {**_MODEL, **_E_GRID,
@@ -313,18 +323,19 @@ COMMANDS = {
         **_MODEL, "lambda": (parse_lambda, None), "k_out": (_count, 48),
         "rhs_mode": (_mode, None)}),
     "conjugacy": (_cmd_conjugacy, {
-        **_MODEL, "energy": (float, None), "K_B": (_natural, 64),
-        "grid": (_count, 1024), "n_iter": (_count, 400_000), "tau": (float, 2.0),
-        "m_max": (_count, 10_000), "eigenvector": (_bool, False)}),
+        **_MODEL, "energy": (_finite, None), "K_B": (_natural, 64),
+        "grid": (_count, 1024), "n_iter": (_count, 400_000),
+        "tau": (_finite, 2.0), "m_max": (_count, 10_000),
+        "eigenvector": (_bool, False)}),
     "gordon": (_cmd_gordon, {
-        **_MODEL, "theta": (float, 0.137), "energy": (float, None),
+        **_MODEL, "theta": (_finite, 0.137), "energy": (_finite, None),
         "level": (_count, 8), "phi_count": (_count, 8)}),
     "transition": (_cmd_transition, {
         **_MODEL, "N": (_count, 2000), "n_phases": (_count, 32),
         "thresholds": (_thresholds, None), "q_cap": (_count, 5000)}),
     "atlas": (_cmd_atlas, {"l13": (_grid, (0.2, 0.5, 0.8, 1.2)),
                            "l2": (_grid, (0.3, 0.6, 0.9, 1.5)),
-                           "ratio": (float, 1.0)}),
+                           "ratio": (_finite, 1.0)}),
 }
 
 _FLAGS = ("alpha", "lambda", "depth", "energy", "N", "n_iter", "n_phases",

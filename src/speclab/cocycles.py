@@ -40,6 +40,8 @@ _HOPPING_TOL = 1e-12
 # chunk (segments x _SEGMENT) and the cells of a pass (segments x energies)
 _SEGMENT = 64
 _CELLS = 1 << 14
+# log of the range 1e+-300 that the segment products are kept in
+_LOG_RANGE = math.log(1e300)
 
 
 @dataclass(frozen=True)
@@ -498,22 +500,28 @@ def rotation_sweep(model: JacobiModel, energies: np.ndarray,
                    n_iter: int = 200_000, theta0: float = 0.0) -> np.ndarray:
     """Rotation numbers for a whole energy grid in one orbit sweep.
 
-    Tracks the projective angle of a marked vector, starting at e1; each
-    step's increment in turns is taken on the branch continuous through the
-    quarter-turn rotation, folded into (-1/4, 3/4], and the Birkhoff
-    average of the increments is the rotation number.
+    Tracks the lifted angle of a marked vector w, starting at e1, through
+    the ratio r = w0/w1: a step maps it to ((E - v) - b/r)/a, and the
+    Birkhoff average of the angle in turns is the rotation number. The
+    step carries the first entry into the second by the positive factor
+    a/s, so on the branch continuous through the quarter-turn rotation
+    (increments in (-1/4, 3/4] turns) the angle gains a half-turn exactly
+    when the first entry changes sign, that is where the new r is
+    negative: the Sturm node count. atan(1/r) is the angle less that
+    count of half-turns, so steps 1..n gain
+    count/2 + (atan(1/r_n) - atan(1/r_0)) / 2 pi turns.
 
     The orbit is built chunk by chunk, and each chunk is cut into S
     segments of m steps, swept in three passes vectorised over
     (segments x energies):
 
     1. propagate the two basis columns through every segment at once,
-       rescaled each step by the largest entry: the segment products;
+       rescaled by the largest entry as often as a bound on the step
+       entries demands: the segment products;
     2. stitch the products in order, which gives each segment its true
        incoming unit vector; the last one carries over to the next chunk;
-    3. replay the per-step increments from those vectors, with compensated
-       summation inside each segment, then add the segment sums exactly
-       (`math.fsum`).
+    3. carry r through each segment from those vectors and count its
+       negative values; the segment terms are added exactly (`math.fsum`).
 
     A chunk costs about 2m + S Python iterations instead of S m, and the
     memory is O(chunk + S x energies) for any n_iter.
@@ -530,7 +538,7 @@ def rotation_sweep(model: JacobiModel, energies: np.ndarray,
     if E.ndim != 1 or not np.issubdtype(E.dtype, np.number) \
             or not np.all(np.isfinite(E)):
         raise ValidationError("energies must be a 1-D array of finite reals")
-    E = E.astype(float)
+    E = E.astype(float) + 0.0           # -0.0 -> +0.0, so r is never -0.0
     segments = max(1, _CELLS // max(len(E), _SEGMENT))
     w = (np.ones(len(E)), np.zeros(len(E)))
     total = [0.0] * len(E)
@@ -538,7 +546,7 @@ def rotation_sweep(model: JacobiModel, energies: np.ndarray,
     while done < n_iter:
         n = min(segments * _SEGMENT, n_iter - done)
         step = [x[0] for x in
-                _orbit_step(model, np.array([float(theta0)]), done, n)]
+                _orbit_step(model, np.array([float(theta0)]), done, n)[:3]]
         body = n - n % _SEGMENT         # a short tail only in the last chunk
         for lo, hi in ((0, body), (body, n)):
             if hi > lo:
@@ -555,25 +563,34 @@ def rotation_sweep(model: JacobiModel, energies: np.ndarray,
 def _segment_sweep(E: np.ndarray, step: list, w: tuple) -> tuple:
     """The three passes of `rotation_sweep` over S segments of m steps.
 
-    step holds a, b, v, s of the normalized step as (m, S) arrays, column
-    j the steps of segment j; w is the unit vector entering segment 0.
+    step holds a, b, v of the normalized step as (m, S) arrays, column j
+    the steps of segment j; w is the unit vector entering segment 0.
     Returns the unit vector leaving the last segment and the (2S, nE)
     terms whose exact sum is the chunk's angle total per energy.
     """
-    a, b, v, s = step
+    a, b, v = step
     m, S = v.shape
     Ek = E[None, :]
     # pass 1: segment products; c0[i] and c1[i] are the first and second
-    # entries of the image of e_(i+1)
+    # entries of the image of e_(i+1). The steps are taken as
+    # s M = [[E - v, -b], [a, 0]], which moves no direction. A step changes
+    # the largest entry by a factor within [1/G, G], G = (|E - v| + a + b)
+    # max(1, 1/ab) bounding the row sums of s M and of its inverse, so
+    # rescaling once in `every` steps keeps every entry within 1e+-300.
+    growth = float(np.max((np.max(np.abs(E)) + np.abs(v) + a + b)
+                          * np.maximum(1.0, 1.0 / (a * b))))
+    every = max(1, int(_LOG_RANGE / math.log(growth)))
     c0 = np.zeros((2, S, len(E)))
     c1 = np.zeros((2, S, len(E)))
     c0[0] = c1[1] = 1.0
     for k in range(m):
-        vk, bk, sk = v[k, :, None], b[k, :, None], s[k, :, None]
-        c0, c1 = ((Ek - vk) * c0 - bk * c1) / sk, (a[k, :, None] / sk) * c0
-        scale = np.maximum(np.abs(c0).max(axis=0), np.abs(c1).max(axis=0))
-        c0 /= scale
-        c1 /= scale
+        c0, c1 = (Ek - v[k, :, None]) * c0 - b[k, :, None] * c1, \
+            a[k, :, None] * c0
+        if (k + 1) % every == 0:
+            scale = np.maximum(np.abs(c0).max(axis=0),
+                               np.abs(c1).max(axis=0))
+            c0 /= scale
+            c1 /= scale
     # pass 2: stitch, giving each segment its incoming unit vector
     w0, w1 = np.empty((S, len(E))), np.empty((S, len(E)))
     u0, u1 = w
@@ -583,21 +600,20 @@ def _segment_sweep(E: np.ndarray, step: list, w: tuple) -> tuple:
                   c1[0, j] * w0[j] + c1[1, j] * w1[j])
         norm = np.hypot(u0, u1)
         u0, u1 = u0 / norm, u1 / norm
-    # pass 3: per-step increments from the stitched vectors
-    total = np.zeros((S, len(E)))
-    comp = np.zeros((S, len(E)))
-    for k in range(m):
-        vk, bk, sk = v[k, :, None], b[k, :, None], s[k, :, None]
-        x0 = ((Ek - vk) * w0 - bk * w1) / sk
-        x1 = (a[k, :, None] / sk) * w0
-        # angle increment in turns; the branch continuous through the
-        # quarter-turn rotation keeps increments in (-1/4, 3/4]
-        inc = np.arctan2(w0 * x1 - w1 * x0, w0 * x0 + w1 * x1) / (2 * math.pi)
-        inc = np.where(inc <= -0.25, inc + 1.0, inc)
-        y = inc - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        norm = np.hypot(x0, x1)
-        w0, w1 = x0 / norm, x1 / norm
-    return (u0, u1), np.concatenate([total, -comp])
+    # pass 3: the ratio r = w0/w1 through each segment, counting r < 0.
+    # Signed zeros and infinities keep the count exact on the axes: an
+    # incoming r = +-0 sits at atan(1/r) = +-pi/2 and steps to r = -+inf,
+    # counted as the half-turn from +pi/2 and not from -pi/2. A step's r
+    # is never -0, since E is not -0 and x - x = +0.
+    with np.errstate(divide="ignore"):
+        r = w0 / w1
+        start = np.arctan(1.0 / r)
+        count = np.zeros((S, len(E)))
+        t = np.empty((S, len(E)))
+        for k in range(m):
+            np.divide(b[k, :, None], r, out=t)
+            np.subtract(Ek - v[k, :, None], t, out=r)
+            r /= a[k, :, None]
+            count += r < 0
+        end = np.arctan(1.0 / r)
+    return (u0, u1), np.concatenate([0.5 * count, (end - start) / TWO_PI])

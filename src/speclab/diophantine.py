@@ -3,16 +3,21 @@
 The frequency alpha is carried as an exact rational enclosure [lo, hi]
 (width ~2^-700 for the built-in constants), so every statement about
 ``dist(q_n * alpha, Z)`` can be decided with big-integer arithmetic.
-Floating point enters only when a quantity is reported.
+Floating point enters only when a quantity is reported, and in the
+bounded screen of `dc_membership`, which picks the terms that are then
+decided exactly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+
+import numpy as np
 
 from .errors import (
     ContractViolation,
@@ -346,24 +351,49 @@ def dc_membership(cf: ContinuedFraction, phi: float, tau: float,
 
     A value near zero means the rotation number fails the Diophantine
     condition at this scan depth; the caller picks the interpretation.
+
+    alpha is the proxy p/q. A float screen keeps the few m whose value
+    can still be the least: with x = 2 phi mod 1 and p/q each correctly
+    rounded, dist(x -+ m fl(p/q), Z) is within (m + 1) 2^-51 of the exact
+    distance, and a relative 1e-12 covers the rounding of the weights and
+    of the products. The exact rule then decides every kept m, so the
+    result is that of the full exact scan, bit for bit.
     """
+    try:
+        m_max = operator.index(m_max)
+    except TypeError:
+        raise ValidationError(f"m_max must be an integer, got {m_max!r}") \
+            from None
+    if not (math.isfinite(phi) and math.isfinite(tau)):
+        raise ValidationError(f"phi {phi!r} and tau {tau!r} must be finite")
     if tau <= 1:
         raise ValidationError("tau must exceed 1")
     if m_max < 1:
         raise ValidationError("m_max must be >= 1")
+    try:
+        float(1 + m_max) ** tau       # the largest weight
+    except OverflowError:
+        raise ValidationError(f"(1 + m_max)^tau overflows at m_max = "
+                              f"{m_max}, tau = {tau}") from None
     # dist(2 phi - s p/q, Z) = min(r, den - r) / den with the integer
     # r = (a q - s p b) mod den, where 2 phi = a/b and den = b q; one
     # correctly rounded division gives the float of the exact distance
     pr = cf.proxy
     a, b = (Fraction(phi) * 2).as_integer_ratio()
+    ms = np.arange(1, m_max + 1)
+    signed = np.stack([ms, -ms])
+    t = a % b / b - signed * (pr.numerator / pr.denominator)
+    dist = np.abs(t - np.round(t))
+    slack = (ms + 1) * 2.0 ** -51
+    weight = (1.0 + ms) ** tau
+    upper = np.min((dist + slack) * weight) * (1 + 1e-12)
+    kept = signed[(dist - slack) * weight * (1 - 1e-12) <= upper]
     den = b * pr.denominator
     aq, pb = a * pr.denominator, pr.numerator * b
     best = math.inf
-    for m in range(1, m_max + 1):
-        w = float((1 + m)) ** tau
-        for s in (m, -m):
-            r = (aq - s * pb) % den
-            v = min(r, den - r) / den * w
-            if v < best:
-                best = v
+    for s in kept.tolist():
+        r = (aq - s * pb) % den
+        v = min(r, den - r) / den * float(1 + abs(s)) ** tau
+        if v < best:
+            best = v
     return best

@@ -79,8 +79,8 @@ def solve_cohomology(rhs: TorusSymbol, alpha: ContinuedFraction | float,
                     f"|g_{s}| = {abs(gk):.3e} (divisor {abs(div):.3e})")
             coeffs[s + k_out] = gk
     g = TorusSymbol(coeffs)
-    xs = np.arange(grid) / grid
-    resid = g.eval((xs + af) % 1.0) - g.eval(xs) - rhs.eval(xs)
+    g_next = TorusSymbol(coeffs * np.exp(2j * np.pi * af * g.modes))
+    resid = g_next.on_grid(grid) - g.on_grid(grid) - rhs.on_grid(grid)
     return CohomologySolution(g, rhs, float(np.max(np.abs(resid))), floor)
 
 
@@ -159,11 +159,12 @@ class ConjugacyCandidate:
         object.__setattr__(self, "z_coeffs", z)
 
     def columns(self, thetas) -> np.ndarray:
-        """Complexified columns z_j(theta), shape (2, len(thetas))."""
-        th = np.asarray(thetas, dtype=float)
-        ks = np.arange(-self.K_B, self.K_B + 1)
-        basis = np.exp(2j * np.pi * np.outer(ks, th))
-        return self.z_coeffs @ basis
+        """Complexified columns z_j(theta), shape (2, len(thetas)): one
+        exponential per point, z = e^{2 pi i theta}, and z^-K_B P_j(z)
+        with P_j summed by Horner's rule."""
+        z = np.exp(2j * np.pi * np.asarray(thetas, dtype=float))
+        return np.stack([TorusSymbol(c).horner(z) for c in self.z_coeffs]) \
+            * np.conj(z) ** self.K_B
 
     def matrices(self, thetas) -> np.ndarray:
         """Real matrices B(theta), shape (len(thetas), 2, 2)."""
@@ -330,7 +331,7 @@ def dual_eigenvector_from_conjugacy(cand: ConjugacyCandidate, co: Cocycle,
     k_cohom = max(48, 2 * cand.K_B)
     rhs = phase_rhs(s, k_cohom, _EIGENVECTOR_GRID)
     sol = solve_cohomology(rhs, model.alpha, k_cohom, _EIGENVECTOR_GRID)
-    g_vals = sol.g.eval(xs)
+    g_vals = sol.g.on_grid(_EIGENVECTOR_GRID)
 
     # M_s(theta) = diag(1, e^{i arg s(theta - alpha)})
     sm = s.eval((xs - af) % 1.0)

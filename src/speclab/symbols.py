@@ -77,15 +77,20 @@ class TorusSymbol:
             return complex(out)
         return out
 
+    def _z_coeffs(self) -> np.ndarray:
+        """c_k e^{i pi alpha k}: the coefficient of z^k, z = e^{2 pi i
+        theta}, with the half-phase factor folded in."""
+        if self.half_phase:
+            return self.coeffs * np.exp(1j * math.pi * self.alpha * self.modes)
+        return self.coeffs
+
     def horner(self, z: np.ndarray) -> np.ndarray:
         """P(z) = sum_j d_j z^j, j = 0..2K, by Horner's rule, at
         precomputed points z = e^{2 pi i theta}, theta possibly complex:
         self(theta) = z^-K P(z). d_j = c_(j-K) e^{i pi alpha (j-K)}
         carries the half-phase factor, so one exponential per point
         serves every symbol."""
-        d = self.coeffs
-        if self.half_phase:
-            d = d * np.exp(1j * math.pi * self.alpha * self.modes)
+        d = self._z_coeffs()
         if len(d) == 1:
             return np.full(np.shape(z), d[0])
         out = d[-1] * z + d[-2]
@@ -95,8 +100,12 @@ class TorusSymbol:
         return out
 
     def on_grid(self, grid: int):
-        """Values on the uniform real grid theta_g = g/grid."""
-        return self.eval(np.arange(grid) / grid)
+        """Values on the uniform real grid theta_g = g/grid: one inverse
+        FFT of the coefficients with each mode folded modulo the grid,
+        which is exact at the grid points for any order."""
+        folded = np.zeros(grid, dtype=complex)
+        np.add.at(folded, self.modes % grid, self._z_coeffs())
+        return grid * np.fft.ifft(folded)
 
     def conj_reversal(self) -> "TorusSymbol":
         """The symbol theta -> conj(self(theta)) on the real torus."""

@@ -56,7 +56,22 @@ MALFORMED = {
     "conjugacy-grid-below-2K_B+1": ["conjugacy", *LAM, "--K-B", "32",
                                     "--set", "grid=16", "--energy", "0.3",
                                     "--n-iter", "2000"],
+    # (1 + m_max)^tau overflows in the energy selection's Diophantine scan
+    "conjugacy-tau-400": ["conjugacy", *LAM, "--set", "tau=400",
+                          "--set", "m_max=10", "--n-iter", "2000"],
 }
+# float parameters refuse nan and inf before any numerics run
+MALFORMED.update({
+    f"{cmd}-{key}-{val}": [cmd, *args, "--set", f"{key}={val}"]
+    for cmd, args, key in (("conjugacy", LAM, "tau"),
+                           ("conjugacy", LAM, "energy"),
+                           ("lyapunov", LAM, "energy"),
+                           ("lyapunov", LAM, "epsilon"),
+                           ("gordon", LAM, "theta"),
+                           ("ids", LAM, "e_min"),
+                           ("rotation", LAM, "e_max"),
+                           ("atlas", [], "ratio"))
+    for val in ("nan", "inf")})
 # a coupling with no finite coefficient sum, and an l2 = 0 under the
 # duality map, are refused before any numerics run
 MALFORMED.update({
@@ -82,14 +97,12 @@ def test_malformed_input_exits_2(args, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    [*LAM, "--set", "epsilon=nan"],
-    [*LAM, "--set", "energy=nan"],
-    [*LAM, "--set", "energy=inf"],
     ["--lambda", "0.3,0.5,0.3", "--energy", "0.31", "--set", "epsilon=0.01"],
-], ids=["epsilon-nan", "energy-nan", "energy-inf", "singular-strip"])
+], ids=["singular-strip"])
 def test_lyapunov_rejected_input_exits_2(args, tmp_path, capsys):
-    # non-finite energy or epsilon, and a strip of a model whose hopping
-    # vanishes on the torus, are refused before any product is taken
+    # a strip of a model whose hopping vanishes on the torus is refused
+    # before any product is taken (non-finite energy or epsilon are
+    # refused by the parameter table: see MALFORMED)
     code = cli.main(["lyapunov", *args, "--n-iter", "2000",
                      "--out-dir", str(tmp_path)])
     assert code == 2, capsys.readouterr().err

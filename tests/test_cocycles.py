@@ -612,14 +612,55 @@ def test_rotation_sweep_matches_step_loop(freq, lam):
     # grid out to 2 beyond the spectral radius bound on both sides
     spec = np.sort(ops.spectrum_proxy(model, N=120, n_theta=2))
     widest = np.argsort(np.diff(spec))[-3:]
+    # v(theta0) exactly, so that the first step's first entry is 0, and
+    # +-1e150, which overflow a segment product rescaled at a fixed interval
+    v0 = float(coc._orbit_step(model, np.array([0.3]), 0, 1)[2][0, 0])
     energies = np.concatenate([(spec[widest] + spec[widest + 1]) / 2,
-                               np.linspace(-sup - 2, sup + 2, 17)])
+                               np.linspace(-sup - 2, sup + 2, 17),
+                               [v0, 1e150, -1e150]])
     m = coc._SEGMENT
     chunk = coc._CELLS // max(len(energies), m) * m
     for n_iter in (1, 2, m - 1, m + 1, 1000, 2 * chunk + m // 2):
         rho = coc.rotation_sweep(model, energies, n_iter, theta0=0.3)
         ref = _rotation_sweep_loop(model, energies, n_iter, theta0=0.3)
         assert np.max(np.abs(rho - ref)) <= 1e-12, n_iter
+    # one energy: `rotation_number` cuts the chunk into more segments
+    chunk = coc._CELLS // m * m
+    for E in (energies[0], v0, 1e150):
+        co = coc.Cocycle(model, E, kind="normalized")
+        for n_iter in (1, m + 1, chunk + m // 2):
+            rho = coc.rotation_number(co, n_iter, theta0=0.3)
+            ref = _rotation_sweep_loop(model, [E], n_iter, theta0=0.3)[0]
+            assert abs(rho - ref) <= 1e-12, (E, n_iter)
+
+
+def test_segment_sweep_start_on_second_axis(ehm_112):
+    # an incoming vector with w0 = 0, whatever the signs of w1 and of its
+    # zero, gains the angle of a vector a hair off the axis
+    E = np.array([-1.3, 0.3, 2.9])
+    step = [x[0].reshape(-1, 16).T for x in
+            coc._orbit_step(ehm_112, np.array([0.2]), 0, 64)[:3]]
+
+    def turns(w0, w1):
+        w = (np.full(len(E), w0), np.full(len(E), w1))
+        return np.sum(coc._segment_sweep(E, step, w)[1], axis=0)
+
+    ref = turns(1e-300, 1.0)
+    for w0 in (0.0, -0.0):
+        for w1 in (1.0, -1.0):
+            assert np.max(np.abs(turns(w0, w1) - ref)) <= 1e-12, (w0, w1)
+
+
+def test_rotation_sweep_signed_zero_energy(golden):
+    # with v = 0 at every point, E = -0.0 makes E - v = -0.0: the first
+    # ratio must still count as +0, as for E = +0.0
+    model = coc.JacobiModel(ehm.ehm_model((0.1, 0.5, 0.2), golden).c,
+                            sym.constant(0.0), golden)
+    for n_iter in (1, 2, 1000):
+        ref = _rotation_sweep_loop(model, [0.0], n_iter)[0]
+        for E in (0.0, -0.0):
+            rho = coc.rotation_sweep(model, np.array([E]), n_iter)[0]
+            assert abs(rho - ref) <= 1e-12, (E, n_iter)
 
 
 def test_rotation_sweep_memory_does_not_grow_with_steps(ehm_112):

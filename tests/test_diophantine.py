@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speclab import cli
 from speclab import diophantine as dio
 from speclab.errors import (
     InsufficientDepth,
@@ -412,15 +413,40 @@ def test_check_theta_shallow_expansion_insufficient_depth():
         dio.check_theta(cf, 0.42, [0.1], 1600)
 
 
-@pytest.mark.parametrize("name", list(SCAN_ALPHAS))
+MEMBERSHIP_ALPHAS = {**SCAN_ALPHAS,
+                     # a proxy denominator of 102 bits, above 2^63
+                     "beta": lambda: cli.parse_alpha("beta:0.5:4")}
+
+
+@pytest.mark.parametrize("name", list(MEMBERSHIP_ALPHAS))
 def test_dc_membership_bit_equal_to_fraction_loop(name):
     import random
 
-    cf = SCAN_ALPHAS[name]()
+    cf = MEMBERSHIP_ALPHAS[name]()
     rng = random.Random(3)
     phis = [rng.random() for _ in range(4)] + [0.0, 0.25, -0.3, 1.7]
     phis += [float((k * cf.proxy / 2) % 1) for k in (1, 3, -8)]   # resonant
     for phi in phis:
-        for tau in (1.5, 2.0):
+        for tau in (1.5, 2.0, 8.0):
             assert dio.dc_membership(cf, phi, tau, 400) == \
                 _dc_membership_oracle(cf, phi, tau, 400), (phi, tau)
+    # the benchmark's and the CLI's scan depths, with 2 phi planted at
+    # +-m alpha for m near m_max
+    for m_max in (2000, 10_000):
+        phis = [rng.random()] + [float((k * cf.proxy / 2) % 1)
+                                 for k in (m_max - 1, -m_max)]
+        for phi in phis:
+            for tau in (2.0, 8.0):
+                assert dio.dc_membership(cf, phi, tau, m_max) == \
+                    _dc_membership_oracle(cf, phi, tau, m_max), \
+                    (phi, tau, m_max)
+
+
+@pytest.mark.parametrize("phi, tau, m_max", [
+    (math.nan, 2.0, 10), (math.inf, 2.0, 10), (-math.inf, 2.0, 10),
+    (0.3, math.nan, 10), (0.3, math.inf, 10),
+    (0.3, 400.0, 10_000),          # (1 + m_max)^tau overflows
+    (0.3, 2.0, 10.0), (0.3, 2.0, "10"), (0.3, 2.0, None)])
+def test_dc_membership_rejects_bad_input(phi, tau, m_max):
+    with pytest.raises(ValidationError):
+        dio.dc_membership(dio.expand("golden", 20), phi, tau, m_max)

@@ -191,6 +191,18 @@ def test_fit_refuses_grid_that_aliases(subcritical, K_B, grid):
         red.fit_conjugacy(co, rho, K_B, grid)
 
 
+@pytest.mark.parametrize("K_B", [0, 1, 48, 130])
+def test_columns_match_exponential_basis(K_B):
+    rng = np.random.default_rng(K_B)
+    shape = (2, 2 * K_B + 1)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    cand = red.ConjugacyCandidate(z, 0.1, K_B, 0.0, 0, 0.0, False, 0.6)
+    th = np.concatenate([rng.random(500), np.arange(64) / 64])
+    basis = np.exp(2j * np.pi * np.outer(np.arange(-K_B, K_B + 1), th))
+    err = np.max(np.abs(cand.columns(th) - z @ basis), axis=1)
+    assert np.all(err <= 1e-13 * np.sum(np.abs(z), axis=1)), err
+
+
 def test_fit_constant_rotation(golden):
     phi = 0.173
     cand = red.fit_conjugacy(const_cocycle(rot(phi)), phi, K_B=4, grid=256,

@@ -36,6 +36,19 @@ def test_eval_cosine_zero():
     assert v.eval(0.0) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("order, grid, half_phase", [
+    (1, 64, True), (7, 64, False), (40, 64, True), (200, 256, False),
+    (3, 1, False), (48, 8192, False)])
+def test_on_grid_matches_eval(order, grid, half_phase):
+    # orders above grid/2 fold modes onto each other: exact at grid points
+    rng = np.random.default_rng(order)
+    c = rng.normal(size=2 * order + 1) + 1j * rng.normal(size=2 * order + 1)
+    s = sym.TorusSymbol(c, half_phase, ALPHA)
+    ref = s.eval(np.arange(grid) / grid)
+    assert np.max(np.abs(s.on_grid(grid) - ref)) <= \
+        1e-13 * np.sum(np.abs(c))
+
+
 def test_eval_outside_strip():
     s = sym.certify_strip(sym.from_dict({0: 1.0, 1: 1e-8}), 0.1)
     with pytest.raises(OutsideStrip):
