@@ -59,11 +59,13 @@ from .operators import (                              # noqa: F401
     SpectralData,
     TruncatedOperator,
     build,
+    decay_fits,
     decay_rate,
     eigensolve,
     gordon_test,
     ids,
     ipr,
+    iprs,
     spectrum_proxy,
     spectrum_samples,
 )

@@ -255,9 +255,12 @@ def _cmd_conjugacy(p, seed, out_dir):
         rhos = coc.rotation_sweep(model, cands, p["n_iter"])
         gammas = [dio.dc_membership(cf, float(r), p["tau"], p["m_max"])
                   for r in rhos]
-        E = float(cands[int(np.argmax(gammas))])
+        best = int(np.argmax(gammas))
+        # the sweep's rho at the same theta0 = 0 and n_iter
+        E, rho = float(cands[best]), float(rhos[best])
     co = coc.Cocycle(model, E, kind="normalized")
-    rho = coc.rotation_number(co, n_iter=p["n_iter"])
+    if p["energy"] is not None:
+        rho = coc.rotation_number(co, n_iter=p["n_iter"])
     cand = red.fit_conjugacy(co, rho, p["K_B"], p["grid"])
     out = {"candidate": cand.to_json(), "energy": E}
     if p["eigenvector"]:

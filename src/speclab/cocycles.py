@@ -10,8 +10,11 @@ Horner's rule. |c| is evaluated once per point: the step's b = |c|(theta
 shifted by one the same way. A grid that is not an orbit
 (`Cocycle.matrices`) runs the same step kernel with the point before
 taken as z e^{-2 pi i alpha}. Each block is reduced by pairwise
-multiplication on the four entry arrays with per-level rescaling, so
-growth rates up to several nats per step never overflow. Against alpha
+multiplication on the four entry arrays. The read bounds the row-sum
+norm of every step and of its inverse by G, from the hopping moduli, so
+a product of floor(ln 1e300 / ln G) steps stays within 1e+-300; the
+levels below that span are not rescaled, and every level above it is
+(the custom kind has no bound and rescales at every level). Against alpha
 the proxy itself is off by k |alpha - p/q|, about 1.6e-9 at k = 1e8 for
 golden depth 40. That error stays in the numerical orbit: the
 singular-orbit decision (`diophantine.check_theta`) works on alpha's
@@ -171,16 +174,30 @@ def _times_zinv(x: np.ndarray, zinv: np.ndarray, power: int) -> np.ndarray:
     return x
 
 
-def _check_hopping(x: np.ndarray, k0: int | None = None) -> None:
+def _check_hopping(x: np.ndarray, k0: int | None = None) -> tuple:
     """SingularHopping where |x| < 1e-12; the first such site (column
-    k0 + j of an orbit read) when k0 is given."""
-    bad = np.abs(x) < _HOPPING_TOL
-    if not np.any(bad):
-        return
+    k0 + j of an orbit read) when k0 is given. Returns (min |x|, max |x|)."""
+    mod = np.abs(x)
+    lo, hi = float(np.min(mod)), float(np.max(mod))
+    if not lo < _HOPPING_TOL:
+        return lo, hi
     if k0 is None:
         raise SingularHopping("|c| < 1e-12 at a sampled phase")
+    bad = mod < _HOPPING_TOL
     site = k0 + int(np.argmax(bad.reshape(-1, bad.shape[-1]).any(axis=0)))
     raise SingularHopping(f"hopping vanishes at site {site}", site=site)
+
+
+def _rescale_every(growth: float) -> int:
+    """The most steps whose raw product keeps its largest entry within
+    1e+-300, when G = growth bounds the row-sum norm of every step and of
+    its inverse: the largest entry of a product P of n steps is at most
+    ||P|| <= G^n and at least ||P|| / 2 >= 1 / (2 ||P^-1||) >= G^-n / 2,
+    and G^every <= 1e300. At least 1; 1 for an infinite or undefined
+    bound; a bound below 2 counts as 2 (every = 996)."""
+    if not growth < math.inf:
+        return 1
+    return max(1, int(_LOG_RANGE / math.log(max(growth, 2.0))))
 
 
 def _principal_sqrt(w: np.ndarray) -> np.ndarray:
@@ -195,10 +212,11 @@ def _principal_sqrt(w: np.ndarray) -> np.ndarray:
 
 def _step_kernel(model: JacobiModel, z: np.ndarray, zinv: np.ndarray,
                  torus: bool) -> tuple:
-    """(a, b, v, s) of the normalized step [[(E - v)/s, -b/s], [a/s, 0]]
-    at the points z[..., 1:], with a = |c| there, b = |c| at the point
-    before (z[..., :-1]) and s = sqrt(ab): |c| is evaluated once per point
-    and b is a shifted by one.
+    """(a, b, v, s, (lo, hi)) of the normalized step
+    [[(E - v)/s, -b/s], [a/s, 0]] at the points z[..., 1:], with a = |c|
+    there, b = |c| at the point before (z[..., :-1]), s = sqrt(ab), and
+    lo, hi the least and largest modulus of |c| over all the points: |c|
+    is evaluated once per point and b is a shifted by one.
 
     On the real torus (torus=True) a and b are exact moduli and all four
     are real; |c| = |P(z)| drops the unimodular factor z^-K. Off it a and
@@ -221,10 +239,10 @@ def _step_kernel(model: JacobiModel, z: np.ndarray, zinv: np.ndarray,
         mod = _principal_sqrt(cc)
     # |c| >= 1e-12 at every point, so s >= 1e-12 too; a test on s alone
     # would pass a zero of c next to a large |c|
-    _check_hopping(mod)
+    hop = _check_hopping(mod)
     a, b = mod[..., 1:], mod[..., :-1]
     s = np.sqrt(a * b) if torus else _principal_sqrt(a * b)
-    return a, b, v, s
+    return a, b, v, s, hop
 
 
 def _normalized_step(model: JacobiModel, th: np.ndarray) -> tuple:
@@ -232,7 +250,7 @@ def _normalized_step(model: JacobiModel, th: np.ndarray) -> tuple:
     th - alpha: the grid read."""
     z, zinv = _grid_points(model, th)
     return tuple(x[..., 0] for x in
-                 _step_kernel(model, z, zinv, not np.iscomplexobj(th)))
+                 _step_kernel(model, z, zinv, not np.iscomplexobj(th))[:4])
 
 
 def _orbit_step(model: JacobiModel, thetas: np.ndarray, k0: int, count: int,
@@ -251,18 +269,30 @@ def _normalized_entries(energy: complex, a, b, v, s) -> tuple:
 
 
 def _transfer_entries(model: JacobiModel, energy: complex, z: np.ndarray,
-                      zinv: np.ndarray, k0: int | None = None) -> tuple:
+                      zinv: np.ndarray, k0: int | None = None,
+                      inverse: bool = False) -> tuple:
     """Entries of the transfer step [[(E - v)/c, -c~/c], [1, 0]] at the
     points z[..., 1:], with c~ at the point before: on an orbit c~ is
-    read shifted by one. A zero of c names its site when k0 is given."""
+    read shifted by one. A zero of c names its site when k0 is given;
+    with inverse=True so does a zero of c~, which makes the step
+    singular. Returns the entries and the bound G of `orbit_entries`."""
     K = model.c.order
     c = _times_zinv(model.c.horner(z[..., 1:]), zinv[..., 1:], K)
-    _check_hopping(c, k0)
+    c_lo, c_hi = _check_hopping(c, k0)
     ct = _times_zinv(model.c_tilde.horner(z[..., :-1]), zinv[..., :-1], K)
+    if inverse:
+        ct_lo, ct_hi = _check_hopping(ct, k0 - 1)
+    else:
+        mod = np.abs(ct)
+        ct_lo, ct_hi = float(np.min(mod)), float(np.max(mod))
     v = _times_zinv(model.v.horner(z[..., 1:]), zinv[..., 1:], model.v.order)
     r = 1.0 / c
+    # the rows of the step, (|E - v| + |c~|)/|c| and 1, and of its inverse
+    # [[0, 1], [-c/c~, (E - v)/c~]], 1 and (|c| + |E - v|)/|c~|
+    growth = max(1.0, (abs(energy) + float(np.max(np.abs(v)))
+                       + max(c_hi, ct_hi)) / min(c_lo, ct_lo))
     return ((energy - v) * r, -ct * r, np.broadcast_to(1.0, c.shape),
-            np.broadcast_to(0.0, c.shape))
+            np.broadcast_to(0.0, c.shape)), growth
 
 
 @dataclass
@@ -318,24 +348,34 @@ class Cocycle:
                                     *_normalized_step(self.model, th))
         else:
             m = [x[..., 0] for x in _transfer_entries(
-                self.model, self.energy, *_grid_points(self.model, th))]
+                self.model, self.energy, *_grid_points(self.model, th))[0]]
         return np.stack(np.broadcast_arrays(*m), -1).reshape(th.shape + (2, 2))
 
-    def orbit_entries(self, thetas: np.ndarray, k0: int, count: int) -> tuple:
-        """The four entry arrays (m00, m01, m10, m11), each (P, count), of
-        the cocycle along theta_i + k alpha, k = k0..k0+count-1: the orbit
-        read of every product. The custom kind reads `matrices` at
-        `orbit_phases`."""
+    def orbit_entries(self, thetas: np.ndarray, k0: int, count: int,
+                      inverse: bool = False) -> tuple:
+        """((m00, m01, m10, m11), G): the four entry arrays, each
+        (P, count), of the cocycle along theta_i + k alpha,
+        k = k0..k0+count-1, and a bound G >= 1 on the row-sum norm of every
+        one of those steps and of its inverse: the orbit read of every
+        product. inverse=True also refuses a step that is not invertible
+        (the transfer kind's c~ at site k0 - 1). The custom kind reads
+        `matrices` at `orbit_phases` and has no bound (G = inf)."""
         if self.kind == "custom":
             alpha = self.model.alpha if self.model is not None else Fraction(0)
             return _entries(self.matrices(
-                orbit_phases(alpha, thetas, k0, count)))
+                orbit_phases(alpha, thetas, k0, count))), math.inf
         if self.kind == "normalized":
-            return _normalized_entries(self.energy, *_orbit_step(
-                self.model, thetas, k0, count, self.epsilon))
+            a, b, v, s, (lo, hi) = _orbit_step(self.model, thetas, k0, count,
+                                               self.epsilon)
+            # |a|, |b| <= hi and |s| = sqrt(|ab|) >= lo bound the rows of
+            # the step, (|E - v| + |b|)/|s| and |a|/|s|, and of its inverse
+            # [[0, b/s], [-a/s, (E - v)/s]], |b|/|s| and (|a| + |E - v|)/|s|
+            growth = (abs(self.energy) + float(np.max(np.abs(v))) + hi) / lo
+            return _normalized_entries(self.energy, a, b, v, s), growth
         z, zinv = _orbit_points(self.model.alpha, thetas, k0 - 1, count + 1,
                                 self.epsilon)
-        return _transfer_entries(self.model, self.energy, z, zinv, k0)
+        return _transfer_entries(self.model, self.energy, z, zinv, k0,
+                                 inverse)
 
 
 @dataclass(frozen=True)
@@ -372,37 +412,53 @@ def _entries(mats: np.ndarray) -> tuple:
     return mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
 
 
-def _rescaled_mul(x: tuple, y: tuple) -> tuple:
-    """x @ y over its largest entry modulus, and that scale (1 where the
-    product is 0)."""
+def _mul(x: tuple, y: tuple) -> tuple:
+    """x @ y on entry arrays."""
     a, b, c, d = x
     e, f, g, h = y
-    m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _rescaled(m: tuple) -> tuple:
+    """m over its largest entry modulus, and that scale (1 where m is 0)."""
     scale = np.maximum(np.maximum(abs(m[0]), abs(m[1])),
                        np.maximum(abs(m[2]), abs(m[3])))
     scale = np.where(scale > 0, scale, 1.0)
     return tuple(x / scale for x in m), scale
 
 
-def _tree_product(m: tuple) -> tuple:
+def _tree_product(m: tuple, growth: float = math.inf) -> tuple:
     """Ordered product M[:, -1] ... M[:, 0] of the matrices with (P, B)
-    entry arrays m, multiplied pairwise level by level, each pair product
-    rescaled by its largest entry modulus.
+    entry arrays m, multiplied pairwise level by level.
 
-    Returns the product's (P,) entries and the (P,) log of the scale taken
-    out.
+    With G = growth bounding the row-sum norm of every step and of its
+    inverse, a product of every = `_rescale_every(G)` steps stays within
+    1e+-300, so the factors of a level are divided by their largest entry
+    modulus only where its products span more than `every` steps: the
+    levels below multiply raw products of at most `every` steps, and from
+    the first rescaled level on every factor has entries at most 1. No
+    bound (G = inf) gives every = 1, which rescales every level, the
+    single steps included.
+
+    Returns the product's (P,) entries over their largest modulus and the
+    (P,) log of the scale taken out.
     """
+    every = _rescale_every(growth)
     logs = np.zeros(m[0].shape[0])
+    span = 1                            # steps per factor, at most
     while m[0].shape[1] > 1:
+        span *= 2
+        if span > every:
+            m, scale = _rescaled(m)
+            logs += np.sum(np.log(scale), axis=1)
         even = m[0].shape[1] // 2 * 2
-        pairs, scale = _rescaled_mul([x[:, 1:even:2] for x in m],
-                                     [x[:, 0:even:2] for x in m])
-        logs += np.sum(np.log(scale), axis=1)
+        pairs = _mul([x[:, 1:even:2] for x in m], [x[:, 0:even:2] for x in m])
         if even < m[0].shape[1]:
             pairs = [np.concatenate([p, x[:, -1:]], axis=1)
                      for p, x in zip(pairs, m)]
         m = pairs
-    return tuple(x[:, 0] for x in m), logs
+    m, scale = _rescaled(tuple(x[:, 0] for x in m))
+    return m, logs + np.log(scale)
 
 
 def _product_logs(co: Cocycle, thetas: np.ndarray, n_iter: int) -> np.ndarray:
@@ -413,8 +469,10 @@ def _product_logs(co: Cocycle, thetas: np.ndarray, n_iter: int) -> np.ndarray:
     done = 0
     while done < n_iter:
         n = min(_BLOCK, n_iter - done)
-        block, blog = _tree_product(co.orbit_entries(thetas, done, n))
-        run, scale = _rescaled_mul(block, run)
+        # no name holds the block's steps once its product is taken, so
+        # they are freed before the next block is read
+        block, blog = _tree_product(*co.orbit_entries(thetas, done, n))
+        run, scale = _rescaled(_mul(block, run))
         logs += blog + np.log(scale)
         done += n
     run = np.stack(run, -1).reshape(P, 2, 2)
@@ -426,7 +484,8 @@ def lyapunov(co: Cocycle, n_iter: int, n_phases: int = 8,
     """Monte-Carlo estimate of the top Lyapunov exponent in nats.
 
     Averages (1/n) log ||A_n(theta_i)|| over n_phases random phases with
-    per-level norm rescaling; deterministic given the seed.
+    bound-scheduled rescaling of the block products (`_tree_product`);
+    deterministic given the seed.
     """
     n_iter, n_phases = _integer("n_iter", n_iter), _integer("n_phases", n_phases)
     if n_iter < 1 or n_phases < 1:
@@ -448,17 +507,32 @@ def lyapunov_strip(co: Cocycle, eps_list, n_iter: int, n_phases: int = 8,
             for eps in eps_list]
 
 
+def _inverse_steps(m: tuple, a: int) -> tuple:
+    """Entry arrays of the inverses [[t, -q], [-r, p]] / det of the (1, B)
+    steps [[p, q], [r, t]] at the sites a, a + 1, ..., in reversed order.
+    ValidationError names the first site whose determinant is 0."""
+    p, q, r, t = np.broadcast_arrays(*m)
+    det = p * t - q * r
+    if np.any(det == 0):
+        site = a + int(np.argmax(det[0] == 0))
+        raise ValidationError(f"singular step at site {site}")
+    inv = 1.0 / det
+    return tuple(x[:, ::-1] for x in (t * inv, -q * inv, -r * inv, p * inv))
+
+
 def _segment_product(co: Cocycle, theta: float, a: int, b: int,
-                     steps) -> ScaledMatrix:
-    """Rescaled ordered product of steps(A) over the sites a..b, where
-    steps maps the (1, b - a + 1, 2, 2) stack of cocycle matrices."""
+                     inverse: bool) -> ScaledMatrix:
+    """Rescaled ordered product of the steps over the sites a..b, or of
+    their inverses in reversed order."""
     a, b = _integer("a", a), _integer("b", b)
     _finite_phase(theta)
     if b < a:
         return ScaledMatrix(np.eye(2, dtype=complex), 0.0)
-    m = co.orbit_entries(np.array([float(theta)]), a, b - a + 1)
-    mats = np.stack(np.broadcast_arrays(*m), -1).reshape(1, -1, 2, 2)
-    prod, logs = _tree_product(_entries(steps(mats)))
+    m, growth = co.orbit_entries(np.array([float(theta)]), a, b - a + 1,
+                                 inverse)
+    if inverse:
+        m = _inverse_steps(m, a)
+    prod, logs = _tree_product(m, growth)
     return ScaledMatrix(np.stack(prod, -1).reshape(2, 2), float(logs[0]))
 
 
@@ -468,7 +542,7 @@ def finite_product(co: Cocycle, theta: float, a: int, b: int) -> ScaledMatrix:
     Empty range (b < a) gives the identity. Hopping zeros on the segment
     raise SingularHopping with the offending site.
     """
-    return _segment_product(co, theta, a, b, lambda mats: mats)
+    return _segment_product(co, theta, a, b, inverse=False)
 
 
 def finite_product_inv(co: Cocycle, theta: float, a: int, b: int) -> ScaledMatrix:
@@ -476,10 +550,12 @@ def finite_product_inv(co: Cocycle, theta: float, a: int, b: int) -> ScaledMatri
 
     Inverting the grown product is hopeless once its determinant
     underflows; each step's inverse is well conditioned, so the rescaled
-    product of inverses in reversed order is the stable route.
+    product of inverses in reversed order is the stable route. A step
+    that is not invertible raises: SingularHopping with the site where c
+    or (transfer kind) c~ vanishes, ValidationError for a custom step
+    with determinant 0.
     """
-    return _segment_product(co, theta, a, b,
-                            lambda mats: np.linalg.inv(mats)[:, ::-1])
+    return _segment_product(co, theta, a, b, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +653,9 @@ def _segment_sweep(E: np.ndarray, step: list, w: tuple) -> tuple:
     # the largest entry by a factor within [1/G, G], G = (|E - v| + a + b)
     # max(1, 1/ab) bounding the row sums of s M and of its inverse, so
     # rescaling once in `every` steps keeps every entry within 1e+-300.
-    growth = float(np.max((np.max(np.abs(E)) + np.abs(v) + a + b)
-                          * np.maximum(1.0, 1.0 / (a * b))))
-    every = max(1, int(_LOG_RANGE / math.log(growth)))
+    every = _rescale_every(float(np.max(
+        (np.max(np.abs(E)) + np.abs(v) + a + b)
+        * np.maximum(1.0, 1.0 / (a * b)))))
     c0 = np.zeros((2, S, len(E)))
     c1 = np.zeros((2, S, len(E)))
     c0[0] = c1[1] = 1.0

@@ -271,12 +271,6 @@ def synth_alpha(target_beta: float, levels: int,
 # phase-dependent exponent and Diophantine membership
 # ---------------------------------------------------------------------------
 
-def _frac_norm(x: Fraction) -> Fraction:
-    """dist(x, Z) for an exact rational."""
-    r = x % 1
-    return min(r, 1 - r)
-
-
 def check_theta(cf: ContinuedFraction, theta: float, singular_phases,
                 k_range: int) -> None:
     """Decide that theta is farther than 1e-12 from theta_j + k alpha + Z
@@ -332,15 +326,21 @@ def delta_c_levels(cf: ContinuedFraction, theta: float, singular_phases,
         raise InsufficientDepth("need at least 2 convergents")
     if singular_phases:
         check_theta(cf, theta, singular_phases, cf.q[min(depth, cf.depth) - 1])
+    # dist(q_n x, Z) = min(r, den - r) / den with r = q_n num mod den, for
+    # x = num/den = theta - theta_j exactly; int / int is correctly
+    # rounded, as float(Fraction) is
+    ratios = [(Fraction(theta) - Fraction(tj)).as_integer_ratio()
+              for tj in singular_phases]
     out = []
     for n in range(n_levels):
         qn = cf.q[n]
         val = math.log(cf.q[n + 1]) / qn
-        for tj in singular_phases:
-            d = _frac_norm(qn * (Fraction(theta) - Fraction(tj)) % 1)
+        for num, den in ratios:
+            r = qn * num % den
+            d = min(r, den - r)
             # theta excluded from the singular orbits, but q_n*(theta-theta_j)
             # can still be tiny; that is the phenomenon being measured
-            val += math.log(float(d)) / qn if d > 0 else -math.inf
+            val += math.log(d / den) / qn if d else -math.inf
         out.append(val)
     return out
 

@@ -166,7 +166,7 @@ def transition_experiment(lam, alpha_cf: ContinuedFraction, N: int,
     rejected = 0            # fits refused: peak near the edge, range too short
     for _, sd, keep in ops.phase_pool(model, N, thetas):
         energy_pool.extend(sd.eigenvalues[keep].tolist())
-        iprs.extend(ops.ipr(sd, idx) for idx in keep)
+        iprs.extend(ops.iprs(sd, keep).tolist())
         more_rates, more_r2s, refused = ops.middle_decay_fits(sd, keep)
         rates += more_rates
         r2s += more_r2s

@@ -30,6 +30,7 @@ from .symbols import zeros_on_torus
 _EDGE_FRACTION = 0.025          # per side; outer 5% of sites in total
 _EDGE_EXCESS = 3.0              # boundary filter, in uniform edge shares
 _PRODUCT_BOUND_EPS = 0.05       # slack eps in the singular-phase lower bound
+_CHUNK_CELLS = 1 << 14          # cells per array in the window passes
 
 
 def _edge_sites(M: int) -> int:
@@ -261,69 +262,130 @@ def kolmogorov_distance(a, b) -> float:
 # localization diagnostics
 # ---------------------------------------------------------------------------
 
-def decay_rate(sd: SpectralData, index: int) -> tuple:
-    """Least-squares exponential decay rate of |u_n| away from its peak.
-
-    Fits ln|u_n| against the distance from the peak over the middle 60%
-    of the usable decay range (above the eigensolver noise floor); returns
-    (rate, r_squared). A range shorter than four distances, or with fewer
-    than two distances above the floor, raises ValidationError.
-    """
+def _state_chunks(sd: SpectralData, indices) -> list:
+    """The indices in chunks of at most _CHUNK_CELLS // M states, M the
+    window size, so a pass over a chunk holds arrays of about
+    _CHUNK_CELLS cells whatever the window."""
     if sd.eigenvectors is None:
         raise ValidationError("eigenvectors not computed")
-    u = np.abs(sd.eigenvectors[:, index])
-    M = len(u)
-    peak = int(np.argmax(u))
-    d_max = min(peak, M - 1 - peak)
-    if d_max < sd.N / 2:
-        raise PeakNearBoundary(f"peak at site index {peak} of {M}")
-    floor = max(1e-300, 1e-13 * float(u[peak]))
-    # column 0 holds u[peak - d], column 1 holds u[peak + d], for d = 0..d_max
-    pairs = np.column_stack([u[peak::-1][:d_max + 1], u[peak:peak + d_max + 1]])
-    above = np.nonzero(pairs.max(axis=1) > floor)[0]
-    d_stop = int(above[-1]) if len(above) else 0
-    lo_d, hi_d = int(math.ceil(0.2 * d_stop)), int(math.floor(0.8 * d_stop))
-    window = pairs[lo_d:hi_d + 1]
-    keep = window > floor
-    x = np.broadcast_to(np.arange(lo_d, hi_d + 1.0)[:, None], window.shape)[keep]
-    if hi_d - lo_d < 3 or len(x) == 0 or x[0] == x[-1]:
-        raise ValidationError("decay range too short for a fit")
-    y = np.log(window[keep])
-    x = x - x.mean()
-    y = y - y.mean()
-    sxx, sxy, syy = x @ x, x @ y, y @ y
-    r2 = sxy * sxy / (sxx * syy) if syy > 0 else 0.0
-    return float(-sxy / sxx), float(r2)
+    indices = np.asarray(indices, dtype=int)
+    step = max(1, _CHUNK_CELLS // len(sd.eigenvectors))
+    return [indices[i:i + step] for i in range(0, len(indices), step)]
+
+
+def iprs(sd: SpectralData, indices) -> np.ndarray:
+    """Inverse participation ratios sum |u|^4 / (sum |u|^2)^2 of the
+    states `indices`, in one pass per chunk of states."""
+    out = [np.zeros(0)]
+    for chunk in _state_chunks(sd, indices):
+        # one C-contiguous row per state: a row's sums do not depend on
+        # the rows beside it
+        u = np.abs(sd.eigenvectors[:, chunk].T, order="C") ** 2
+        out.append(np.sum(u * u, axis=1) / np.sum(u, axis=1) ** 2)
+    return np.concatenate(out)
 
 
 def ipr(sd: SpectralData, index: int) -> float:
-    """Inverse participation ratio sum |u|^4 of the normalized vector."""
-    if sd.eigenvectors is None:
-        raise ValidationError("eigenvectors not computed")
-    u = np.abs(sd.eigenvectors[:, index]) ** 2
-    return float(np.sum(u * u) / np.sum(u) ** 2)
+    """Inverse participation ratio of one state (`iprs`)."""
+    return float(iprs(sd, [index])[0])
+
+
+def decay_fits(sd: SpectralData, indices) -> tuple:
+    """Least-squares exponential decay rates of |u_n| away from the peak
+    of each state in `indices`, in one pass per chunk of states.
+
+    Fits ln|u_n| against the distance from the peak over the middle 60%
+    of the usable decay range (above the eigensolver noise floor).
+    Returns (rates, r2s, near_edge, too_short), arrays over the states.
+    A fit is refused where near_edge (the peak is closer than N/2 to the
+    edge) or else where too_short (a range shorter than four distances,
+    or with fewer than two distances above the floor); a refused state
+    has rate and r2 nan.
+
+    A state's profile sits on the distances 0..(M - 1)/2 from its peak
+    on both sides, M the window size: the same cells in every chunk, so
+    its fit is bit for bit the same whatever states it is fitted with.
+    """
+    out = [[np.zeros(0, dtype)] for dtype in (float, float, bool, bool)]
+    M = len(sd.eigenvectors)
+    D = (M - 1) // 2                    # no peak is farther from both edges
+    dist = np.arange(D + 1)
+    offsets = np.concatenate([-dist, dist])
+    x = np.abs(offsets).astype(float)                  # distance of a cell
+    for chunk in _state_chunks(sd, indices):
+        P = len(chunk)
+        # |u|, one C-contiguous row per state (a row's sums then do not
+        # depend on the rows beside it) between D zeros on either side
+        u = np.zeros((P, M + 2 * D))
+        np.abs(sd.eigenvectors[:, chunk].T, out=u[:, D:D + M])
+        peak = np.argmax(u[:, D:D + M], axis=1)
+        d_max = np.minimum(peak, M - 1 - peak)
+        floor = np.maximum(1e-300, 1e-13 * u[np.arange(P), D + peak])
+        # row i holds u_i[peak - d] for d = 0..D, then u_i[peak + d]; a
+        # cell past d_max holds 0, which is never above the floor
+        prof = np.take(u, (np.arange(P) * (M + 2 * D) + D + peak)[:, None]
+                       + offsets)
+        u = None
+        prof *= x <= d_max[:, None]
+        above = prof > floor[:, None]
+        reach = above[:, :D + 1] | above[:, D + 1:]
+        d_stop = np.where(reach.any(axis=1),
+                          D - np.argmax(reach[:, ::-1], axis=1), 0)
+        lo_d, hi_d = np.ceil(0.2 * d_stop), np.floor(0.8 * d_stop)
+        keep = above & (lo_d[:, None] <= x) & (x <= hi_d[:, None])
+        n = keep.sum(axis=1)
+        xs = np.broadcast_to(x, keep.shape)
+        # all kept distances equal: their least and largest are the same
+        one_d = np.max(xs, axis=1, where=keep, initial=-1) == \
+            np.min(xs, axis=1, where=keep, initial=D + 1)
+        y = np.log(prof, out=np.zeros_like(prof), where=keep)
+        prof = None
+        with np.errstate(invalid="ignore", divide="ignore"):
+            # centred in place; integer distances make the mean of x exact
+            dx = xs - (np.sum(xs, axis=1, where=keep) / n)[:, None]
+            dx *= keep
+            y -= (np.sum(y, axis=1) / n)[:, None]
+            y *= keep
+            sxx, sxy, syy = (np.einsum("ij,ij->i", dx, dx),
+                             np.einsum("ij,ij->i", dx, y),
+                             np.einsum("ij,ij->i", y, y))
+            rate = -sxy / sxx
+            r2 = np.where(syy > 0, sxy * sxy / (sxx * syy), 0.0)
+        near_edge = d_max < sd.N / 2
+        too_short = ~near_edge & ((hi_d - lo_d < 3) | (n == 0) | one_d)
+        rate[near_edge | too_short] = r2[near_edge | too_short] = np.nan
+        for acc, val in zip(out, (rate, r2, near_edge, too_short)):
+            acc.append(val)
+    return tuple(np.concatenate(acc) for acc in out)
+
+
+def decay_rate(sd: SpectralData, index: int) -> tuple:
+    """`decay_fits` of one state: (rate, r_squared). A refused fit raises
+    PeakNearBoundary or ValidationError."""
+    (rate,), (r2,), (near_edge,), (too_short,) = decay_fits(sd, [index])
+    if near_edge:
+        u = np.abs(sd.eigenvectors[:, index])
+        raise PeakNearBoundary(f"peak at site index {int(np.argmax(u))} "
+                               f"of {len(u)}")
+    if too_short:
+        raise ValidationError("decay range too short for a fit")
+    return float(rate), float(r2)
 
 
 def middle_decay_fits(sd: SpectralData, keep) -> tuple:
-    """`decay_rate` of each kept state whose energy lies between the
+    """`decay_fits` of the kept states whose energy lies between the
     window's 25th and 75th eigenvalue percentiles.
 
-    Returns (rates, r2s, rejected): a fit refused with ValidationError
-    (peak near the edge, range too short) is counted in `rejected`; any
-    other exception propagates.
+    Returns (rates, r2s, rejected): the fitted states' rates and r2 as
+    lists, and the count of refused fits.
     """
     E = sd.eigenvalues[keep]
     lo, hi = np.percentile(sd.eigenvalues, [25, 75])
-    rates, r2s, rejected = [], [], 0
-    for idx in keep[(lo <= E) & (E <= hi)]:
-        try:
-            rate, r2 = decay_rate(sd, idx)
-        except ValidationError:
-            rejected += 1
-            continue
-        rates.append(rate)
-        r2s.append(r2)
-    return rates, r2s, rejected
+    rates, r2s, near_edge, too_short = decay_fits(
+        sd, keep[(lo <= E) & (E <= hi)])
+    fitted = ~(near_edge | too_short)
+    return (rates[fitted].tolist(), r2s[fitted].tolist(),
+            int(np.sum(~fitted)))
 
 
 # ---------------------------------------------------------------------------

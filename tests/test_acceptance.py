@@ -286,7 +286,7 @@ def test_criterion_10_transition(golden40):
     iprs, pool = [], []
     for _, sd, keep in ops.phase_pool(model_sc, 2000, rng.random(6)):
         pool.extend(sd.eigenvalues[keep].tolist())
-        iprs.extend(ops.ipr(sd, idx) for idx in keep)
+        iprs.extend(ops.iprs(sd, keep).tolist())
         sd = None
     ipr_median = float(np.median(iprs))
     usable = [n for n in range(1, cfs.depth - 1) if cfs.q[n] <= 5000]

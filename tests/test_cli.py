@@ -252,3 +252,28 @@ def test_run_api_matches_subprocess(tmp_path):
                     "seed": 1, "out_dir": str(tmp_path / "api")})
     assert code == 0
     assert (tmp_path / "api" / "result.json").exists()
+
+
+def test_conjugacy_reuses_the_sweep_rotation_number(tmp_path, monkeypatch):
+    # with no energy given, rho of the chosen energy is the candidate
+    # sweep's value at the same theta0 and n_iter: no second rotation run
+    from speclab import cocycles as coc
+
+    sweeps = []
+    sweep = coc.rotation_sweep
+
+    def recorded(model, energies, *args):
+        sweeps.append((energies.tolist(), sweep(model, energies, *args)))
+        return sweeps[-1][1]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("rotation number computed twice")
+
+    monkeypatch.setattr(coc, "rotation_sweep", recorded)
+    monkeypatch.setattr(coc, "rotation_number", refused)
+    assert cli.main(["conjugacy", *LAM, "--n-iter", "20000", "--K-B", "16",
+                     "--set", "m_max=500", "--out-dir", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "result.json").read_text())
+    (energies, rhos), = sweeps
+    best = energies.index(result["energy"])
+    assert result["candidate"]["rho_target"] == float(rhos[best])

@@ -86,11 +86,13 @@ def test_lyapunov_conjugation_invariance(ehm_112):
 
     class ConjCocycle(coc.Cocycle):
         def orbit_entries(self, thetas, k0, count):
-            m = super().orbit_entries(thetas, k0, count)
+            m, growth = super().orbit_entries(thetas, k0, count)
             calls.append(np.size(m[0]))
             out = np.stack(np.broadcast_arrays(*m), -1).reshape(
                 m[0].shape + (2, 2))
-            return coc._entries(np.einsum("ij,...jk,kl->...il", C, out, Ci))
+            # C A C^-1 and its inverse have row sums up to cond(C) G
+            return (coc._entries(np.einsum("ij,...jk,kl->...il", C, out, Ci)),
+                    growth * np.linalg.cond(C, np.inf))
 
     co2 = ConjCocycle(ehm_112, E, kind="normalized")
     conj = coc.lyapunov(co2, n_iter=n, n_phases=6, seed=9)
@@ -296,8 +298,10 @@ def test_rotation_and_lyapunov_match_projection(golden, monkeypatch):
     def projected(model, thetas, k0, count, eps=0.0):
         assert eps == 0.0
         reads.append(count)
-        return _projected_step(
+        a, b, v, s = _projected_step(
             model, coc.orbit_phases(model.alpha, thetas, k0, count))
+        # the kernel also returns the least and largest |c| it read
+        return a, b, v, s, (min(a.min(), b.min()), max(a.max(), b.max()))
 
     monkeypatch.setattr(coc, "_orbit_step", projected)
     rho_ref = coc.rotation_sweep(model, energies, n_iter=20_000, theta0=0.3)
@@ -322,7 +326,7 @@ def test_orbit_entries_match_matrices_at_orbit_phases(golden, lam, kind, eps):
     thetas = np.random.default_rng(6).random(3)
     for k0, count in ((0, 1), (0, 256), (1000, 777), (-300, 2049)):
         got = np.stack(np.broadcast_arrays(*co.orbit_entries(
-            thetas, k0, count)), -1).reshape(3, count, 2, 2)
+            thetas, k0, count)[0]), -1).reshape(3, count, 2, 2)
         ref = co.matrices(coc.orbit_phases(golden, thetas, k0, count))
         assert got.dtype == ref.dtype
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -344,7 +348,7 @@ def test_orbit_read_refuses_branch_and_zero_hopping(golden):
     R = sym.modulus_strip(model.c)
     thetas = np.random.default_rng(1).random(2)
     ok = coc.Cocycle(model, 0.31, epsilon=0.9 * R)
-    assert np.all(np.isfinite(ok.orbit_entries(thetas, 7, 4096)[0]))
+    assert np.all(np.isfinite(ok.orbit_entries(thetas, 7, 4096)[0][0]))
     with pytest.raises(OutsideStrip):
         coc.Cocycle(model, 0.31, epsilon=R).orbit_entries(thetas, 7, 4096)
     # c vanishes at site 1000 of the singular model: the transfer read
@@ -430,7 +434,9 @@ def _tree_product_matmul(mats):
     return mats[:, 0], logs
 
 
-def _product_logs_matmul(co, thetas, n_iter, block=256):
+def _product_logs_matmul(co, thetas, n_iter, block=256, orbit_read=False):
+    """The block loop with np.matmul, on the grid read at the orbit phases
+    or, with orbit_read=True, on the orbit read's own steps."""
     P = len(thetas)
     run = np.broadcast_to(np.eye(2, dtype=complex), (P, 2, 2)).copy()
     logs = np.zeros(P)
@@ -438,7 +444,11 @@ def _product_logs_matmul(co, thetas, n_iter, block=256):
     done = 0
     while done < n_iter:
         n = min(block, n_iter - done)
-        mats = co.matrices(coc.orbit_phases(alpha, thetas, done, n))
+        if orbit_read:
+            m = co.orbit_entries(thetas, done, n)[0]
+            mats = np.stack(np.broadcast_arrays(*m), -1).reshape(P, n, 2, 2)
+        else:
+            mats = co.matrices(coc.orbit_phases(alpha, thetas, done, n))
         prod, blog = _tree_product_matmul(mats)
         run = np.matmul(prod, run)
         scale = np.max(np.abs(run), axis=(1, 2))
@@ -476,6 +486,127 @@ def test_product_logs_match_matmul(ehm_112, kind, eps):
         logs = coc._product_logs(co, thetas, n_iter)
         ref = _product_logs_matmul(co, thetas, n_iter)
         assert np.max(np.abs(logs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# -- the rescale schedule at its extremes ---------------------------------------
+
+def _schedule_cases(golden):
+    """(name, cocycle, phases, expected rescale interval): the largest
+    energy the schedule meets (every = 1), a block beside a hopping zero
+    (G about 1e12), the strip near its certified edge, an ordinary
+    energy, and the custom kind, which has no bound."""
+    ehm_112 = ehm.ehm_model((0.1, 0.5, 0.2), golden)
+    near = ehm.ehm_model((0.2, 0.5, 0.3), golden)
+    # |c| is 5.3e-12 at the orbit's first point, 5e-12 past its zero
+    theta_near = (0.5 - golden.value / 2 + 5e-12) % 1.0
+    dual = ehm.ehm_model(ehm.sigma((0.3, 0.5, 0.3)), golden)
+    R = sym.modulus_strip(dual.c)
+    rot = np.array([[math.cos(1.0), -math.sin(1.0)],
+                    [math.sin(1.0), math.cos(1.0)]])
+    phases = np.array([0.3, 0.71])
+    for kind in ("normalized", "transfer"):
+        yield (f"E=1e150 {kind}", coc.Cocycle(ehm_112, 1e150, kind=kind),
+               phases, 1)
+        yield (f"hopping zero {kind}", coc.Cocycle(near, 0.31, kind=kind),
+               np.array([theta_near, 0.3]), 24)
+        yield (f"strip {kind}", coc.Cocycle(dual, 0.31, kind=kind,
+                                            epsilon=0.9 * R), phases, 202)
+        yield (f"E=0.31 {kind}", coc.Cocycle(ehm_112, 0.31, kind=kind),
+               phases, 251)
+    yield "custom", const_cocycle(3.0 * rot), phases, 1
+
+
+def test_rescale_schedule_extremes_match_matmul(golden, monkeypatch):
+    scales = []
+    rescaled = coc._rescaled
+
+    def counted(m):
+        scales.append(np.shape(m[0]))
+        return rescaled(m)
+
+    monkeypatch.setattr(coc, "_rescaled", counted)
+    for name, co, thetas, every in _schedule_cases(golden):
+        m, growth = co.orbit_entries(thetas, 0, 4096)
+        assert coc._rescale_every(growth) == every, name
+        # a 4096-step block: levels of span 2 .. 4096, then the final
+        # scale; a level is rescaled iff its span exceeds `every`
+        scales.clear()
+        coc._tree_product(m, growth)
+        spans = [2 ** (k + 1) for k in range(12)]
+        assert len(scales) == sum(sp > every for sp in spans) + 1, name
+        for n_iter in (1, 3, 777, 10_000):
+            logs = coc._product_logs(co, thetas, n_iter)
+            # beside the zero, |c| ~ 5e-12 moves by 1e-4 relative with a
+            # rounding of the phase: the reference takes the same steps
+            ref = _product_logs_matmul(co, thetas, n_iter,
+                                       orbit_read=name.startswith("hopping"))
+            assert np.all(np.isfinite(logs)), name
+            assert np.max(np.abs(logs - ref)) <= \
+                1e-12 * np.max(np.abs(ref)), (name, n_iter)
+        for B in (1, 3, 777):
+            m, growth = co.orbit_entries(thetas, 5, B)
+            prod, logs = coc._tree_product(m, growth)
+            prod = np.stack(prod, -1).reshape(-1, 2, 2)
+            mats = np.stack(np.broadcast_arrays(*m), -1).reshape(-1, B, 2, 2)
+            ref, ref_logs = _tree_product_matmul(mats)
+            n, n_ref = (np.linalg.norm(x, 2, axis=(1, 2)) for x in (prod, ref))
+            assert np.max(np.abs(logs + np.log(n) - ref_logs - np.log(n_ref))) \
+                <= 1e-12 * max(1.0, np.max(np.abs(ref_logs))), (name, B)
+            # the direction of 777 steps beside the zero is ill-conditioned:
+            # against a long-double step loop it is off by 1.0e-12 here,
+            # by 6.2e-13 with every level rescaled, and np.matmul by 5.8e-13
+            tol = 1e-11 if name.startswith("hopping") else 1e-12
+            assert np.max(np.abs(prod / n[:, None, None]
+                                 - ref / n_ref[:, None, None])) <= tol, name
+
+
+def test_rescale_every_rule():
+    assert coc._rescale_every(math.inf) == 1
+    assert coc._rescale_every(math.nan) == 1
+    assert coc._rescale_every(1e301) == 1
+    assert coc._rescale_every(1.0) == coc._rescale_every(2.0) == 996
+    every = coc._rescale_every(10.0)
+    assert 10.0 ** every <= 1e300 < 10.0 ** (every + 2)
+
+
+@pytest.mark.parametrize("a", [-5, 0])
+def test_inverse_product_refuses_vanishing_first_c_tilde(golden, a):
+    # c~ at site a - 1 enters only the first step of the segment, whose
+    # inverse divides by it; the forward product still takes it
+    model = ehm.ehm_model((0.3, 0.5, 0.3), golden)
+    co = coc.Cocycle(model, 0.1, kind="transfer")
+    phases = ehm.classify((0.3, 0.5, 0.3)).shifted_phases(golden.value)
+    assert len(phases) == 2
+    for tj in phases:
+        theta = (tj - (a - 1) * golden.value) % 1.0
+        with pytest.raises(SingularHopping) as exc:
+            coc.finite_product_inv(co, theta, a, a + 20)
+        assert exc.value.site == a - 1
+        fwd = coc.finite_product(co, theta, a, a + 20)
+        assert np.all(np.isfinite(fwd.matrix))
+
+
+def test_inverse_product_matches_stacked_inverse(ehm_112):
+    # the entrywise inverse against np.linalg.inv of each step, multiplied
+    # in reversed order with np.matmul
+    for kind in ("normalized", "transfer"):
+        for eps in (0.0, 0.02):
+            co = coc.Cocycle(ehm_112, 0.31, kind=kind, epsilon=eps)
+            for a, b in ((-6, -6), (-6, 3), (-400, -1)):
+                Pi = coc.finite_product_inv(co, 0.4, a, b)
+                mats = co.matrices(coc.orbit_phases(
+                    ehm_112.alpha, np.array([0.4]), a, b - a + 1))
+                ref, ref_log = _tree_product_matmul(
+                    np.linalg.inv(mats)[:, ::-1])
+                n, n_ref = np.linalg.norm(Pi.matrix, 2), \
+                    np.linalg.norm(ref[0], 2)
+                assert abs(Pi.log_scale + math.log(n) - ref_log[0]
+                           - math.log(n_ref)) <= \
+                    1e-12 * max(1.0, abs(ref_log[0]))
+                assert np.max(np.abs(Pi.matrix / n - ref[0] / n_ref)) <= 1e-12
+    singular = const_cocycle([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(ValidationError):
+        coc.finite_product_inv(singular, 0.1, 3, 5)
 
 
 def test_singular_model_ids_rotation_identity(golden):

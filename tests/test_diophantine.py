@@ -209,6 +209,50 @@ def test_json_roundtrip_fields():
 # the scans against plain Fraction loops
 # ---------------------------------------------------------------------------
 
+def _frac_norm(x):
+    """dist(x, Z) for an exact rational."""
+    r = x % 1
+    return min(r, 1 - r)
+
+
+def _delta_c_levels_oracle(cf, theta, singular_phases, depth):
+    """The Fraction loop of delta_c_levels, after its orbit check."""
+    out = []
+    for n in range(min(depth, cf.depth - 1)):
+        qn = cf.q[n]
+        val = math.log(cf.q[n + 1]) / qn
+        for tj in singular_phases:
+            d = _frac_norm(qn * (Fraction(theta) - Fraction(tj)) % 1)
+            val += math.log(float(d)) / qn if d > 0 else -math.inf
+        out.append(val)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["golden", "sqrt2", "synth"])
+def test_delta_c_levels_bit_equal_to_fraction_loop(spec):
+    cf = dio.synth_alpha(1.0, 4) if spec == "synth" \
+        else dio.expand(spec, 40)
+    phases = [0.1234567, 0.75, 0.6180339887498949]
+    tj = phases[0]
+    thetas = [0.0, 0.5, 0.3141592653589793, 1 - 2.0 ** -40,
+              # near, not on, the singular orbits: tiny dist(q_n x, Z)
+              _on_orbit(cf, tj, 3, Fraction(1, 10 ** 9)),
+              _on_orbit(cf, tj, -cf.q[1], Fraction(-1, 10 ** 11)),
+              _on_orbit(cf, tj, 0, Fraction(3, 10 ** 12))]
+    # the synthesized q_4 ~ e^403 is beyond the orbit scan's reach
+    depths = (1, 2, 3) if spec == "synth" else (1, 2, 5, 39, 43)
+    compared = 0
+    for theta in thetas:
+        for sing in ([tj], phases):
+            for depth in depths:
+                try:
+                    got = dio.delta_c_levels(cf, theta, sing, depth)
+                except ThetaInSingularOrbit:
+                    continue
+                assert got == _delta_c_levels_oracle(cf, theta, sing, depth)
+                compared += 1
+    assert compared >= 36
+
 def _check_theta_oracle(cf, theta, singular_phases, k_range):
     """A Fraction loop against the proxy p/q: its message, or None. It
     agrees with check_theta where k_range |alpha - p/q| is far below 1e-12."""
@@ -217,7 +261,7 @@ def _check_theta_oracle(cf, theta, singular_phases, k_range):
     for tj in singular_phases:
         d0 = th - Fraction(tj)
         for k in range(-k_range, k_range + 1):
-            if dio._frac_norm(d0 - k * pr) < Fraction(1e-12):
+            if _frac_norm(d0 - k * pr) < Fraction(1e-12):
                 return f"theta within 1e-12 of phase {tj} + {k}*alpha"
     return None
 
@@ -261,7 +305,7 @@ def _dc_membership_oracle(cf, phi, tau, m_max):
     for m in range(1, m_max + 1):
         w = float((1 + m)) ** tau
         for s in (m, -m):
-            best = min(best, float(dio._frac_norm(two_phi - s * pr)) * w)
+            best = min(best, float(_frac_norm(two_phi - s * pr)) * w)
     return best
 
 

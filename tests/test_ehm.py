@@ -141,10 +141,10 @@ def test_transition_smoke_sc_side():
 def test_transition_decay_fit_bug_propagates(golden, monkeypatch):
     # only the expected fit refusals (ValidationError) are counted and
     # skipped; anything else is a bug and must surface
-    def broken(sd, index):
+    def broken(sd, indices):
         raise RuntimeError("bug in the fit")
 
-    monkeypatch.setattr(ops, "decay_rate", broken)
+    monkeypatch.setattr(ops, "decay_fits", broken)
     with pytest.raises(RuntimeError):
         ehm.transition_experiment((0.1, 0.5, 0.2), golden, N=100, n_phases=1)
 

@@ -249,6 +249,99 @@ def test_decay_rate_matches_loop_oracle(golden, ehm_112):
     assert fits > 500
 
 
+def _state_decay_rate(sd, index):
+    """The per-state fit, one state at a time, kept as the oracle of the
+    window pass `decay_fits`."""
+    if sd.eigenvectors is None:
+        raise ValidationError("eigenvectors not computed")
+    u = np.abs(sd.eigenvectors[:, index])
+    M = len(u)
+    peak = int(np.argmax(u))
+    d_max = min(peak, M - 1 - peak)
+    if d_max < sd.N / 2:
+        raise PeakNearBoundary(f"peak at site index {peak} of {M}")
+    floor = max(1e-300, 1e-13 * float(u[peak]))
+    # column 0 holds u[peak - d], column 1 holds u[peak + d], for d = 0..d_max
+    pairs = np.column_stack([u[peak::-1][:d_max + 1], u[peak:peak + d_max + 1]])
+    above = np.nonzero(pairs.max(axis=1) > floor)[0]
+    d_stop = int(above[-1]) if len(above) else 0
+    lo_d, hi_d = int(math.ceil(0.2 * d_stop)), int(math.floor(0.8 * d_stop))
+    window = pairs[lo_d:hi_d + 1]
+    keep = window > floor
+    x = np.broadcast_to(np.arange(lo_d, hi_d + 1.0)[:, None], window.shape)[keep]
+    if hi_d - lo_d < 3 or len(x) == 0 or x[0] == x[-1]:
+        raise ValidationError("decay range too short for a fit")
+    y = np.log(window[keep])
+    x = x - x.mean()
+    y = y - y.mean()
+    sxx, sxy, syy = x @ x, x @ y, y @ y
+    r2 = sxy * sxy / (sxx * syy) if syy > 0 else 0.0
+    return float(-sxy / sxx), float(r2)
+
+
+def _windows(golden, ehm_112):
+    """Windows of the oracle tests: AMO (at 0.01 most states decay below
+    the floor within a few sites, too few for a fit), two EHM couplings
+    (the second singular) and a dual window, at three sizes."""
+    models = (ehm.amo_model(0.5, golden), ehm.amo_model(0.01, golden), ehm_112,
+              ehm.ehm_model((0.3, 0.5, 0.3), golden), dua.dualize(ehm_112))
+    for model in models:
+        for N in (150, 300, 700):
+            yield ops.eigensolve(ops.build(model, 0.37, N), want_vectors=True)
+
+
+def test_decay_fits_match_state_oracle(golden, ehm_112):
+    kinds, worst = set(), 0.0
+    for sd in _windows(golden, ehm_112):
+        states = np.arange(len(sd.eigenvalues))
+        fits = ops.decay_fits(sd, states)
+        rates, r2s, near_edge, too_short = fits
+        for idx in states:
+            try:
+                expect = _state_decay_rate(sd, idx)
+            except ValidationError as exc:
+                assert near_edge[idx] == isinstance(exc, PeakNearBoundary)
+                assert too_short[idx] != near_edge[idx]
+                assert np.isnan(rates[idx]) and np.isnan(r2s[idx])
+                with pytest.raises(type(exc)) as got:
+                    ops.decay_rate(sd, idx)
+                assert type(got.value) is type(exc)
+                assert str(got.value) == str(exc)
+                kinds.add(type(exc))
+                continue
+            assert not near_edge[idx] and not too_short[idx]
+            worst = max(worst, abs(rates[idx] - expect[0]),
+                        abs(r2s[idx] - expect[1]))
+            kinds.add(None)
+        # one state alone: bit for bit the same as in its chunk
+        for idx in states[::97]:
+            for one, all_ in zip(ops.decay_fits(sd, [idx]), fits):
+                assert np.array_equal(one, all_[idx:idx + 1], equal_nan=True)
+    assert kinds == {None, PeakNearBoundary, ValidationError}
+    assert worst <= 1e-12
+
+
+def test_iprs_match_scalar_formula(golden, ehm_112):
+    for sd in _windows(golden, ehm_112):
+        states = np.arange(len(sd.eigenvalues))[::-1]
+        got = ops.iprs(sd, states)
+        u = np.abs(sd.eigenvectors[:, states]) ** 2
+        ref = np.array([np.sum(c * c) / np.sum(c) ** 2 for c in u.T])
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
+        assert ops.ipr(sd, 5) == got[states == 5][0]
+    assert len(ops.iprs(sd, [])) == 0
+
+
+def test_window_passes_are_chunked(ehm_112, monkeypatch):
+    # a chunk of one state gives the same numbers as the full chunk
+    sd = ops.eigensolve(ops.build(ehm_112, 0.42, 120), want_vectors=True)
+    keep = ops.interior_indices(sd)
+    wide = ops.iprs(sd, keep), ops.middle_decay_fits(sd, keep)
+    monkeypatch.setattr(ops, "_CHUNK_CELLS", 1)
+    assert np.array_equal(ops.iprs(sd, keep), wide[0])
+    assert ops.middle_decay_fits(sd, keep) == wide[1]
+
+
 def test_decay_rate_single_distance_is_too_short(golden):
     # inside the fit window only the pair at distance 10 is above the floor
     N = 40
