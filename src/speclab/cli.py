@@ -29,7 +29,7 @@ from . import duality as dua
 from . import ehm
 from . import operators as ops
 from . import reducibility as red
-from .errors import SpeclabError, ValidationError
+from .errors import ResourceExhausted, SpeclabError, ValidationError
 from .symbols import from_dict, winding, zeros_on_torus
 
 REQUIRED = object()   # table default of a parameter that must be given
@@ -384,7 +384,8 @@ def _validate(config: dict) -> dict:
 
 def run(config: dict) -> int:
     """Execute one command; write manifest + result artifacts; exit code.
-    An error that is not a SpeclabError is recorded, then propagates."""
+    A MemoryError exits 4; any other error that is not a SpeclabError is
+    recorded, then propagates."""
     try:
         config = _validate(config)
     except SpeclabError as exc:
@@ -401,10 +402,10 @@ def run(config: dict) -> int:
         write_json(os.path.join(out_dir, "result.json"), result)
     except BaseException as exc:
         manifest.update(status="error", error=f"{type(exc).__name__}: {exc}")
-        if not isinstance(exc, SpeclabError):
+        if not isinstance(exc, (SpeclabError, MemoryError)):
             raise
         sys.stderr.write(f"error: {manifest['error']}\n")
-        return exc.exit_code
+        return getattr(exc, "exit_code", ResourceExhausted.exit_code)
     finally:
         write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return 0

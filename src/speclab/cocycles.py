@@ -4,8 +4,8 @@ Products read the cocycle along orbits in blocks. The points
 z_k = e^{2 pi i theta_k} of a block cost one complex exponential per
 256-step anchor (`_ANCHOR`), times a cached table of e^{2 pi i (j p mod q)/q}
 built in integers from the proxy p/q, so the orbit is the proxy's exact
-orbit up to rounding (~1e-15) at every k. Every symbol is summed there by
-Horner's rule. |c| is evaluated once per point: the step's b = |c|(theta
+orbit up to rounding (~1e-15) at every k. Every symbol is read there as
+z^-K P(z) (`TorusSymbol.at`). |c| is evaluated once per point: b = |c|(theta
 - alpha) is a of the point before, and the transfer kind's c~ is read
 shifted by one the same way. A grid that is not an orbit
 (`Cocycle.matrices`) runs the same step kernel with the point before
@@ -33,7 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from .diophantine import ContinuedFraction
-from .errors import OutsideStrip, SingularHopping, ValidationError
+from .errors import (ContractViolation, OutsideStrip, SingularHopping,
+                     ValidationError)
 from .symbols import TWO_PI, TorusSymbol, modulus_strip
 
 _BLOCK = 4096               # steps per block product
@@ -167,13 +168,6 @@ def _grid_points(model: JacobiModel, th: np.ndarray) -> tuple:
     return z, 1 / z
 
 
-def _times_zinv(x: np.ndarray, zinv: np.ndarray, power: int) -> np.ndarray:
-    """x z^-power, in place on x."""
-    for _ in range(power):
-        x *= zinv
-    return x
-
-
 def _check_hopping(x: np.ndarray, k0: int | None = None) -> tuple:
     """SingularHopping where |x| < 1e-12; the first such site (column
     k0 + j of an orbit read) when k0 is given. Returns (min |x|, max |x|)."""
@@ -224,14 +218,12 @@ def _step_kernel(model: JacobiModel, z: np.ndarray, zinv: np.ndarray,
     reversal).
     """
     c = model.c
-    v = _times_zinv(model.v.horner(z[..., 1:]), zinv[..., 1:],
-                    model.v.order)
+    v = model.v.at(z[..., 1:], zinv[..., 1:])
     if torus:
         mod = np.abs(c.horner(z))
         v = v.real                      # self-adjoint => real on T
     else:
-        cc = _times_zinv(c.horner(z) * model.c_tilde.horner(z), zinv,
-                         2 * c.order)
+        cc = c.at(z, zinv) * model.c_tilde.at(z, zinv)
         # the principal root, refused where |arg(c c~)| > 3 pi / 4
         if np.any(cc.real < -np.abs(cc.imag)):
             raise OutsideStrip("arg(c c~) passes 3 pi / 4: the principal "
@@ -276,16 +268,15 @@ def _transfer_entries(model: JacobiModel, energy: complex, z: np.ndarray,
     read shifted by one. A zero of c names its site when k0 is given;
     with inverse=True so does a zero of c~, which makes the step
     singular. Returns the entries and the bound G of `orbit_entries`."""
-    K = model.c.order
-    c = _times_zinv(model.c.horner(z[..., 1:]), zinv[..., 1:], K)
+    c = model.c.at(z[..., 1:], zinv[..., 1:])
     c_lo, c_hi = _check_hopping(c, k0)
-    ct = _times_zinv(model.c_tilde.horner(z[..., :-1]), zinv[..., :-1], K)
+    ct = model.c_tilde.at(z[..., :-1], zinv[..., :-1])
     if inverse:
         ct_lo, ct_hi = _check_hopping(ct, k0 - 1)
     else:
         mod = np.abs(ct)
         ct_lo, ct_hi = float(np.min(mod)), float(np.max(mod))
-    v = _times_zinv(model.v.horner(z[..., 1:]), zinv[..., 1:], model.v.order)
+    v = model.v.at(z[..., 1:], zinv[..., 1:])
     r = 1.0 / c
     # the rows of the step, (|E - v| + |c~|)/|c| and 1, and of its inverse
     # [[0, 1], [-c/c~, (E - v)/c~]], 1 and (|c| + |E - v|)/|c~|
@@ -476,6 +467,11 @@ def _product_logs(co: Cocycle, thetas: np.ndarray, n_iter: int) -> np.ndarray:
         logs += blog + np.log(scale)
         done += n
     run = np.stack(run, -1).reshape(P, 2, 2)
+    bad = ~(np.isfinite(logs) & np.isfinite(run).all(axis=(1, 2))
+            & run.any(axis=(1, 2)))     # a zero product: log-norm -inf
+    if bad.any():
+        raise ContractViolation("the product's log-norm is not finite at "
+                                f"theta = {thetas[np.argmax(bad)]:.17g}")
     return logs + np.log(np.linalg.norm(run, ord=2, axis=(1, 2)))
 
 

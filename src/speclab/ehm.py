@@ -233,6 +233,8 @@ def atlas_rows(l13_grid, l2_grid, ratio: float = 1.0) -> list:
     Each row: l1, l2, l3, region, singular case, closed-form exponent in
     region I (empty otherwise), dual-symbol winding when defined.
     """
+    if not ratio >= 0.0:
+        raise ValidationError(f"ratio l1/l3 must be >= 0, got {ratio}")
     rows = []
     for s in l13_grid:
         for l2 in l2_grid:

@@ -161,10 +161,10 @@ class ConjugacyCandidate:
     def columns(self, thetas) -> np.ndarray:
         """Complexified columns z_j(theta), shape (2, len(thetas)): one
         exponential per point, z = e^{2 pi i theta}, and z^-K_B P_j(z)
-        with P_j summed by Horner's rule."""
+        summed by `TorusSymbol.at`."""
         z = np.exp(2j * np.pi * np.asarray(thetas, dtype=float))
-        return np.stack([TorusSymbol(c).horner(z) for c in self.z_coeffs]) \
-            * np.conj(z) ** self.K_B
+        zinv = np.conj(z)
+        return np.stack([TorusSymbol(c).at(z, zinv) for c in self.z_coeffs])
 
     def matrices(self, thetas) -> np.ndarray:
         """Real matrices B(theta), shape (len(thetas), 2, 2)."""
@@ -345,10 +345,8 @@ def dual_eigenvector_from_conjugacy(cand: ConjugacyCandidate, co: Cocycle,
     D *= (np.exp(-0.5 * g_vals) / np.sqrt(s_prev))[:, None, None]
 
     entry = D[:, 0, which_row - 1]
-    spec = np.fft.fft(entry) / _EIGENVECTOR_GRID
     trunc = cand.K_B + s.order + 24
-    ks = np.arange(-trunc, trunc + 1)
-    u = spec[np.mod(ks, _EIGENVECTOR_GRID)]
+    u = TorusSymbol.from_grid(entry, trunc).coeffs
     u = u / np.linalg.norm(u)
 
     dual = dua.dualize(model)

@@ -53,13 +53,9 @@ class TorusSymbol:
             return 0.0 + 0.0j
         return complex(self.coeffs[k + self.order])
 
-    def _phase_offset(self) -> float:
-        return self.alpha / 2.0 if self.half_phase else 0.0
-
     def eval(self, theta):
-        """Truncated Fourier sum, summed in ascending mode order.
-
-        theta may be real or complex, scalar or array; the imaginary part
+        """Truncated Fourier sum at theta, real or complex, scalar or
+        array: one exponential per point, then `at`. The imaginary part
         must stay inside the certified strip.
         """
         th = np.asarray(theta)
@@ -67,12 +63,8 @@ class TorusSymbol:
             if np.any(np.abs(th.imag) > self.strip + 1e-15):
                 raise OutsideStrip(
                     f"|Im theta| exceeds certified strip {self.strip:.6g}")
-        z = np.exp(2j * np.pi * (th + self._phase_offset()))
-        out = np.zeros_like(z, dtype=complex)
-        zk = z ** (-self.order)
-        for j in range(len(self.coeffs)):
-            out = out + self.coeffs[j] * zk
-            zk = zk * z
+        z = np.exp(2j * np.pi * th)
+        out = self.at(z, 1 / z)
         if np.isscalar(theta) or th.ndim == 0:
             return complex(out)
         return out
@@ -99,6 +91,15 @@ class TorusSymbol:
             out += c
         return out
 
+    def at(self, z: np.ndarray, zinv: np.ndarray) -> np.ndarray:
+        """self(theta) = z^-K P(z) at precomputed points z and zinv = 1/z
+        (conj(z) on the real torus): `horner`, then K multiplications by
+        zinv in place."""
+        out = self.horner(z)
+        for _ in range(self.order):
+            out *= zinv
+        return out
+
     def on_grid(self, grid: int):
         """Values on the uniform real grid theta_g = g/grid: one inverse
         FFT of the coefficients with each mode folded modulo the grid,
@@ -106,6 +107,14 @@ class TorusSymbol:
         folded = np.zeros(grid, dtype=complex)
         np.add.at(folded, self.modes % grid, self._z_coeffs())
         return grid * np.fft.ifft(folded)
+
+    @staticmethod
+    def from_grid(values: np.ndarray, k_out: int) -> "TorusSymbol":
+        """The plain symbol of modes |k| <= k_out of the function with the
+        given values at theta_g = g/grid, the inverse of `on_grid`: mode k
+        is the FFT of the values at index k mod grid, divided by grid."""
+        spec = np.fft.fft(values) / len(values)
+        return TorusSymbol(spec[np.arange(-k_out, k_out + 1) % len(values)])
 
     def conj_reversal(self) -> "TorusSymbol":
         """The symbol theta -> conj(self(theta)) on the real torus."""
@@ -204,14 +213,10 @@ def winding(sym: TorusSymbol, grid: int = 4096) -> int:
     if abs(w_arg - w_int) > 1e-6:
         raise WindingMismatch(f"argument sum {w_arg} is not near an integer")
 
-    poly, k_min = _trimmed_poly(sym)
-    if len(poly) == 1:
-        w_roots = k_min
-    else:
-        roots = np.roots(poly[::-1])   # np.roots wants descending powers
-        if np.any(np.abs(np.abs(roots) - 1.0) <= _CIRCLE_TOL):
-            raise VanishesOnTorus("symbol has a root on the unit circle")
-        w_roots = k_min + int(np.sum(np.abs(roots) < 1.0))
+    zr = zeros_on_torus(sym)
+    if len(zr.on_circle) > 0:
+        raise VanishesOnTorus("symbol has a root on the unit circle")
+    w_roots = _trimmed_poly(sym)[1] + int(np.sum(np.abs(zr.roots) < 1.0))
     if w_int != w_roots:
         raise WindingMismatch(
             f"argument increments give {w_int}, root counting gives {w_roots}")
@@ -251,7 +256,7 @@ def zeros_on_torus(sym: TorusSymbol) -> SymbolZeros:
         val = abs(np.polyval(poly[::-1], r))
         resid = max(resid, val / (scale * max(1.0, abs(r)) ** (len(poly) - 1)))
     mask = np.abs(np.abs(roots) - 1.0) <= _CIRCLE_TOL
-    offset = sym._phase_offset()
+    offset = sym.alpha / 2.0 if sym.half_phase else 0.0
     phases = tuple(sorted(
         float((cmath.phase(z) / TWO_PI - offset) % 1.0) for z in roots[mask]))
     return SymbolZeros(roots, roots[mask], phases, resid)
@@ -288,10 +293,7 @@ def modulus_symbol(sym: TorusSymbol, k_out: int, grid: int = 4096,
     vals = np.abs(sym.on_grid(grid))
     if float(np.min(vals)) <= 1e-8:
         raise VanishesOnTorus("cannot project modulus of a vanishing symbol")
-    spec = np.fft.fft(vals) / grid
-    coeffs = np.zeros(2 * k_out + 1, dtype=complex)
-    for k in range(-k_out, k_out + 1):
-        coeffs[k + k_out] = spec[k % grid]
+    coeffs = TorusSymbol.from_grid(vals, k_out).coeffs
     # modes at the double-precision noise floor get amplified by
     # e^{2 pi eps k} in off-axis evaluation; trim them and certify the
     # strip against the amplified tail of the last genuine mode
@@ -342,9 +344,4 @@ def log_symbol(sym: TorusSymbol, k_out: int, grid: int = 8192) -> TorusSymbol:
     if abs(total) > 1e-6:
         raise ValidationError(
             f"winding {total / TWO_PI:.3f} != 0: no single-valued logarithm")
-    logs = np.log(np.abs(vals)) + 1j * args
-    spec = np.fft.fft(logs) / grid
-    coeffs = np.zeros(2 * k_out + 1, dtype=complex)
-    for k in range(-k_out, k_out + 1):
-        coeffs[k + k_out] = spec[k % grid]
-    return TorusSymbol(coeffs, False, 0.0, math.inf)
+    return TorusSymbol.from_grid(np.log(np.abs(vals)) + 1j * args, k_out)

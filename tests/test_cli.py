@@ -59,6 +59,10 @@ MALFORMED = {
     # (1 + m_max)^tau overflows in the energy selection's Diophantine scan
     "conjugacy-tau-400": ["conjugacy", *LAM, "--set", "tau=400",
                           "--set", "m_max=10", "--n-iter", "2000"],
+    # l1 = s ratio / (1 + ratio): a division by zero at -1, and no row
+    # with l1, l3 >= 0 for any other negative ratio
+    "atlas-ratio-minus-1": ["atlas", "--set", "ratio=-1"],
+    "atlas-ratio-minus-0.5": ["atlas", "--set", "ratio=-0.5"],
 }
 # float parameters refuse nan and inf before any numerics run
 MALFORMED.update({
@@ -108,6 +112,41 @@ def test_lyapunov_rejected_input_exits_2(args, tmp_path, capsys):
     assert code == 2, capsys.readouterr().err
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"] == "error"
+
+
+# s = sqrt(ab) overflows at lambda_1 = 1e200, and the products do at
+# E = 1e308; numpy warns of the overflow before the product check refuses
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("lam, energy", [("1e200,0.5,0.2", "0.3"),
+                                         ("0.1,0.5,0.2", "1e308")],
+                         ids=["huge-lambda", "huge-energy"])
+def test_lyapunov_non_finite_product_exits_3(lam, energy, tmp_path, capsys):
+    code = cli.main(["lyapunov", "--lambda", lam, "--energy", energy,
+                     "--n-iter", "1000", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ContractViolation") and "theta = " in err
+    assert err.count("\n") == 1, err
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_memory_error_exits_4(tmp_path, monkeypatch, capsys):
+    def exhausted(p, seed, out_dir):
+        raise MemoryError("Unable to allocate 14.9 GiB")
+
+    monkeypatch.setitem(cli.COMMANDS, "winding",
+                        (exhausted, cli.COMMANDS["winding"][1]))
+    code = cli.main(["winding", "--lambda", "0.6,0.2,0.1",
+                     "--out-dir", str(tmp_path)])
+    assert code == 4
+    assert capsys.readouterr().err == \
+        "error: MemoryError: Unable to allocate 14.9 GiB\n"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"] == "MemoryError: Unable to allocate 14.9 GiB"
 
 
 def test_manifest_records_defaults_and_hash_ignores_them(tmp_path):

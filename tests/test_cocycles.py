@@ -332,6 +332,36 @@ def test_orbit_entries_match_matrices_at_orbit_phases(golden, lam, kind, eps):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("lam", [(0.1, 0.5, 0.2), ehm.sigma((0.1, 0.5, 0.2))])
+def test_orbit_read_sums_horner_times_zinv(golden, lam):
+    # on the real torus both kinds read c, c~ and v as horner(z) times K
+    # in-place multiplications by zinv, and |c| as |horner(z)|: bit for bit
+    model = ehm.ehm_model(lam, golden)
+    thetas = np.random.default_rng(8).random(3)
+    z, zinv = coc._orbit_points(golden, thetas, 99, 514)
+
+    def summed(s, cols):
+        out = s.horner(z[:, cols])
+        for _ in range(s.order):
+            out *= zinv[:, cols]
+        return out
+
+    E, now, before = 0.31, slice(1, None), slice(None, -1)
+    v = summed(model.v, now)
+    r = 1.0 / summed(model.c, now)
+    mod = np.abs(model.c.horner(z))
+    a, b = mod[:, 1:], mod[:, :-1]
+    rs = 1.0 / np.sqrt(a * b)
+    refs = {"transfer": ((E - v) * r, -summed(model.c_tilde, before) * r,
+                         1.0, 0.0),
+            "normalized": ((E - v.real) * rs, -b * rs, a * rs, 0.0)}
+    for kind, ref in refs.items():
+        got = coc.Cocycle(model, E, kind=kind).orbit_entries(thetas, 100,
+                                                             513)[0]
+        for x, y in zip(got, ref):
+            assert np.array_equal(x, np.broadcast_to(y, x.shape))
+
+
 def test_orbit_phases_agree_with_exact_fractions(golden):
     thetas = np.array([0.0, 0.3, 0.9])
     ph = coc.orbit_phases(golden, thetas, 1000, 777)

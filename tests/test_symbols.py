@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from speclab import ehm
 from speclab import symbols as sym
 from speclab.errors import (
     OutsideStrip,
@@ -55,6 +56,110 @@ def test_eval_outside_strip():
         s.eval(0.3 + 0.2j)
 
 
+def _ascending_sum(s, theta):
+    """Oracle for `eval`: the ascending-mode sum of z^k, z^-K first."""
+    offset = s.alpha / 2 if s.half_phase else 0.0
+    z = np.exp(2j * np.pi * (np.asarray(theta) + offset))
+    out = np.zeros_like(z, dtype=complex)
+    zk = z ** (-s.order)
+    for c in s.coeffs:
+        out = out + c * zk
+        zk = zk * z
+    return out
+
+
+@pytest.mark.parametrize("half_phase", [False, True])
+def test_eval_matches_ascending_sum(half_phase):
+    # coefficients decay as e^{-4 pi strip |k|}, so the sum stays bounded
+    # over the strip
+    strip = 0.05
+    rng = np.random.default_rng(5)
+    real = rng.random(40)
+    inside = rng.random(40) + 1j * strip * rng.uniform(-1, 1, 40)
+    for order in range(201):
+        ks = np.arange(-order, order + 1)
+        c = (rng.normal(size=2 * order + 1)
+             + 1j * rng.normal(size=2 * order + 1)) \
+            * np.exp(-2 * sym.TWO_PI * strip * np.abs(ks))
+        s = sym.TorusSymbol(c, half_phase, ALPHA, strip)
+        tol = 1e-13 * np.sum(np.abs(c))
+        for th in (real, inside, inside.reshape(4, 10)):
+            got = s.eval(th)
+            assert got.shape == th.shape
+            assert np.max(np.abs(got - _ascending_sum(s, th))) <= tol
+        for th in (0.37, 0.37 - 0.9j * strip, np.float64(0.81),
+                   np.array(0.37), np.array(0.2 + 0.5j * strip)):
+            got = s.eval(th)
+            assert type(got) is complex
+            assert abs(got - complex(_ascending_sum(s, th))) <= tol
+
+
+@pytest.mark.parametrize("im, raises", [
+    (0.1, False), (-0.1, False), (0.1 + 1e-15, False), (0.1 + 3e-15, True),
+    (-0.1 - 3e-15, True), (0.2, True)])
+def test_eval_refuses_exactly_outside_strip(im, raises):
+    # the strip check is |Im theta| > strip + 1e-15, scalar or array
+    s = sym.certify_strip(sym.from_dict({0: 1.0, 1: 1e-8}), 0.1)
+    for th in (0.3 + 1j * im, np.array([0.3, 0.3 + 1j * im])):
+        if raises:
+            with pytest.raises(OutsideStrip):
+                s.eval(th)
+        else:
+            s.eval(th)
+    s.eval(np.array([0.3, 0.7]))        # real phases are not checked
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 40])
+def test_at_is_horner_times_zinv(order):
+    rng = np.random.default_rng(order)
+    c = rng.normal(size=2 * order + 1) + 1j * rng.normal(size=2 * order + 1)
+    s = sym.TorusSymbol(c, True, ALPHA)
+    th = rng.random(64) + 0.01j * rng.normal(size=64)
+    z = np.exp(2j * np.pi * th)
+    for zinv in (1 / z, np.conj(z)):
+        ref = s.horner(z)
+        for _ in range(order):
+            ref *= zinv
+        assert np.array_equal(s.at(z, zinv), ref)
+
+
+def _projection_loop(values, k_out):
+    """Oracle for `from_grid`: the mode-by-mode FFT projection."""
+    grid = len(values)
+    spec = np.fft.fft(values) / grid
+    coeffs = np.zeros(2 * k_out + 1, dtype=complex)
+    for k in range(-k_out, k_out + 1):
+        coeffs[k + k_out] = spec[k % grid]
+    return coeffs
+
+
+@pytest.mark.parametrize("grid, k_out", [
+    (4096, 68), (8192, 48), (2048, 113), (64, 40), (1, 3)])
+def test_from_grid_equals_projection_loop(grid, k_out):
+    # real values (|c|, as in modulus_symbol), complex values (log c, as
+    # in log_symbol) and a conjugacy entry's, k_out past grid/2 included
+    c = ehm_hopping((0.1, 0.5, 0.2))
+    vals = c.on_grid(grid)
+    rng = np.random.default_rng(grid)
+    for v in (np.abs(vals), np.log(vals),
+              rng.normal(size=grid) + 1j * rng.normal(size=grid)):
+        got = sym.TorusSymbol.from_grid(v, k_out)
+        assert not got.half_phase and got.strip == math.inf
+        assert np.array_equal(got.coeffs, _projection_loop(v, k_out))
+
+
+@pytest.mark.parametrize("order, grid", [(0, 1), (1, 4), (40, 128),
+                                         (200, 512)])
+def test_from_grid_inverts_on_grid(order, grid):
+    rng = np.random.default_rng(order)
+    c = rng.normal(size=2 * order + 1) + 1j * rng.normal(size=2 * order + 1)
+    for half_phase in (False, True):
+        s = sym.TorusSymbol(c, half_phase, ALPHA)
+        back = sym.TorusSymbol.from_grid(s.on_grid(grid), order)
+        assert np.max(np.abs(back.coeffs - s._z_coeffs())) <= \
+            1e-13 * np.sum(np.abs(c))
+
+
 def test_winding_trivial_cases():
     assert sym.winding(sym.constant(1.0)) == 0
     assert sym.winding(sym.from_dict({1: 1.0})) == 1
@@ -89,6 +194,56 @@ def test_winding_random_polynomials_certified():
         srev = sym.TorusSymbol(s.coeffs[::-1])
         assert sym.winding(srev) == -w
         done += 1
+
+
+def _root_count(s):
+    """Oracle for `winding`'s certificate: k_min plus the roots of the
+    z-polynomial inside the unit disk, from its own `np.roots` call."""
+    poly, k_min = sym._trimmed_poly(s)
+    if len(poly) == 1:
+        return k_min
+    roots = np.roots(poly[::-1])
+    if np.any(np.abs(np.abs(roots) - 1.0) <= 1e-8):
+        raise VanishesOnTorus("root on the circle")
+    return k_min + int(np.sum(np.abs(roots) < 1.0))
+
+
+def _winding_cases():
+    # the README atlas grid (l13 = 0.1:1.4:14, l2 = 0.1:2.0:20, l1 = l3):
+    # hoppings and duals; then the random symbols of the tests above
+    for l13 in np.linspace(0.1, 1.4, 14):
+        for l2 in np.linspace(0.1, 2.0, 20):
+            lam = (l13 / 2, l2, l13 / 2)
+            yield ehm_hopping(lam)
+            yield ehm_hopping(ehm.sigma(lam))
+    yield from (ehm_hopping(lam) for lam in
+                ((0.6, 0.2, 0.1), (0.2, 0.6, 0.3), (0.5, 0.5, 0.5)))
+    yield from (sym.constant(1.0), sym.from_dict({1: 1.0}),
+                sym.from_dict({-2: 3.0}))
+    rng = np.random.default_rng(42)
+    for _ in range(300):
+        deg = rng.integers(1, 7)
+        yield sym.TorusSymbol(rng.normal(size=2 * deg + 1)
+                              + 1j * rng.normal(size=2 * deg + 1))
+
+
+def test_winding_equals_root_count():
+    counted = 0
+    for s in _winding_cases():
+        try:
+            ref = _root_count(s)
+        except VanishesOnTorus:
+            with pytest.raises(VanishesOnTorus):
+                sym.winding(s)
+            continue
+        try:
+            assert sym.winding(s) == ref
+            counted += 1
+        except VanishesOnTorus:
+            # only the grid modulus check refuses a symbol whose roots
+            # are off the circle
+            assert float(np.min(np.abs(s.on_grid(4096)))) <= 1e-8
+    assert counted > 500
 
 
 def test_winding_additivity():
