@@ -18,7 +18,6 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 
@@ -59,10 +58,7 @@ def parse_alpha(spec: str, depth: int = 40) -> dio.ContinuedFraction:
             quots = [int(t) for t in s.split(":", 1)[1].split(",")]
             if min(quots) < 1:
                 raise ValueError("partial quotients must be >= 1")
-            cf = dio._from_quotients(quots, None, None, "quotients")
-            exact = Fraction(cf.p[-1], cf.q[-1])
-            return dio.ContinuedFraction(cf.quotients, cf.p, cf.q, exact,
-                                         exact, "quotients")
+            return dio._from_quotients(quots, None, None, "quotients")
         return dio.expand(s, depth)
     except (ValueError, ArithmeticError) as exc:
         raise ValidationError(f"bad alpha {s!r}: {exc}") from None

@@ -1,24 +1,24 @@
 """Transfer-matrix and normalized cocycles over an irrational rotation.
 
-Products read the cocycle along orbits in blocks. The points
-z_k = e^{2 pi i theta_k} of a block cost one complex exponential per
-256-step anchor (`_ANCHOR`), times a cached table of e^{2 pi i (j p mod q)/q}
-built in integers from the proxy p/q, so the orbit is the proxy's exact
-orbit up to rounding (~1e-15) at every k. Every symbol is read there as
-z^-K P(z) (`TorusSymbol.at`). |c| is evaluated once per point: b = |c|(theta
-- alpha) is a of the point before, and the transfer kind's c~ is read
-shifted by one the same way. A grid that is not an orbit
-(`Cocycle.matrices`) runs the same step kernel with the point before
-taken as z e^{-2 pi i alpha}. Each block is reduced by pairwise
-multiplication on the four entry arrays. The read bounds the row-sum
-norm of every step and of its inverse by G, from the hopping moduli, so
-a product of floor(ln 1e300 / ln G) steps stays within 1e+-300; the
-levels below that span are not rescaled, and every level above it is
-(the custom kind has no bound and rescales at every level). Against alpha
-the proxy itself is off by k |alpha - p/q|, about 1.6e-9 at k = 1e8 for
-golden depth 40. That error stays in the numerical orbit: the
-singular-orbit decision (`diophantine.check_theta`) works on alpha's
-exact enclosure.
+Every product is one loop (`_ordered_product`) that reads the cocycle along
+orbits in blocks of about _CELLS cells. The points z_k = e^{2 pi i theta_k}
+of a block cost one complex exponential per 256-step anchor (`_ANCHOR`),
+times a cached table of e^{2 pi i (j p mod q)/q} built in integers from the
+proxy p/q, so the orbit is the proxy's exact orbit up to rounding (~1e-15)
+at every k. Every symbol is read there as z^-K P(z) (`TorusSymbol.at`). |c|
+is evaluated once per point: b = |c|(theta - alpha) is a of the point
+before, and the transfer kind's c~ is read shifted by one the same way. A
+grid that is not an orbit (`Cocycle.matrices`) runs the same step kernel
+with the point before taken as z e^{-2 pi i alpha}. Each block is reduced by
+pairwise multiplication on the four entry arrays into a running product, so
+no array grows with the length. The read bounds the row-sum norm of every
+step and of its inverse by G, from the hopping moduli, so a product of
+floor(ln 1e300 / ln G) steps stays within 1e+-300; the levels below that
+span are not rescaled, and every level above it is (the custom kind has no
+bound and rescales at every level). Against alpha the proxy itself is off by
+k |alpha - p/q|, about 1.6e-9 at k = 1e8 for golden depth 40. That error
+stays in the numerical orbit: the singular-orbit decision
+(`diophantine.check_theta`) works on alpha's exact enclosure.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ from .errors import (ContractViolation, OutsideStrip, SingularHopping,
                      ValidationError)
 from .symbols import TWO_PI, TorusSymbol, modulus_strip
 
-_BLOCK = 4096               # steps per block product
 _ANCHOR = 256               # steps between exact orbit re-anchors
 _HOPPING_TOL = 1e-12
-# rotation sweep: steps per segment, and the cap on both the steps of a
-# chunk (segments x _SEGMENT) and the cells of a pass (segments x energies)
+# rotation sweep: steps per segment; the cap on the steps of a chunk, the
+# cells of a pass (segments x energies) and of a product block (P x steps)
 _SEGMENT = 64
 _CELLS = 1 << 14
 # log of the range 1e+-300 that the segment products are kept in
@@ -452,23 +451,40 @@ def _tree_product(m: tuple, growth: float = math.inf) -> tuple:
     return m, logs + np.log(scale)
 
 
-def _product_logs(co: Cocycle, thetas: np.ndarray, n_iter: int) -> np.ndarray:
-    """log ||A_n(theta_i)|| for each phase, via rescaled block products."""
+def _ordered_product(co: Cocycle, thetas: np.ndarray, k0: int, count: int,
+                     inverse: bool = False) -> tuple:
+    """A(theta_i + (k0 + count - 1) alpha) ... A(theta_i + k0 alpha), or
+    (inverse) the inverse steps in reversed order, in blocks of _CELLS // P
+    steps cut to whole anchors; each block's tree product joins a running
+    product, on its right when inverse. Returns the (P,) entries over
+    their largest modulus and the (P,) log of the scale taken out, or
+    raises ContractViolation where either is not finite."""
     P = len(thetas)
+    step = max(1, _CELLS // P // _ANCHOR) * _ANCHOR
     run = (np.ones(P), np.zeros(P), np.zeros(P), np.ones(P))
     logs = np.zeros(P)
-    done = 0
-    while done < n_iter:
-        n = min(_BLOCK, n_iter - done)
-        # no name holds the block's steps once its product is taken, so
-        # they are freed before the next block is read
-        block, blog = _tree_product(*co.orbit_entries(thetas, done, n))
-        run, scale = _rescaled(_mul(block, run))
+    for a in range(k0, k0 + count, step):
+        n = min(step, k0 + count - a)
+        if inverse:
+            m, growth = co.orbit_entries(thetas, a, n, inverse=True)
+            m = _inverse_steps(m, a)
+        else:
+            m, growth = co.orbit_entries(thetas, a, n)
+        m, blog = _tree_product(m, growth)  # lets go of the block's steps
+        run, scale = _rescaled(_mul(run, m) if inverse else _mul(m, run))
         logs += blog + np.log(scale)
-        done += n
-    run = np.stack(run, -1).reshape(P, 2, 2)
-    bad = ~(np.isfinite(logs) & np.isfinite(run).all(axis=(1, 2))
-            & run.any(axis=(1, 2)))     # a zero product: log-norm -inf
+    bad = ~(np.isfinite(logs) & np.all(np.isfinite(run), axis=0))
+    if bad.any():
+        raise ContractViolation("the product's log-norm is not finite at "
+                                f"theta = {thetas[np.argmax(bad)]:.17g}")
+    return run, logs
+
+
+def _product_logs(co: Cocycle, thetas: np.ndarray, n_iter: int) -> np.ndarray:
+    """log ||A_n(theta_i)|| for each phase, via rescaled block products."""
+    run, logs = _ordered_product(co, thetas, 0, n_iter)
+    run = np.stack(run, -1).reshape(len(thetas), 2, 2)
+    bad = ~run.any(axis=(1, 2))         # a zero product: log-norm -inf
     if bad.any():
         raise ContractViolation("the product's log-norm is not finite at "
                                 f"theta = {thetas[np.argmax(bad)]:.17g}")
@@ -519,16 +535,11 @@ def _inverse_steps(m: tuple, a: int) -> tuple:
 def _segment_product(co: Cocycle, theta: float, a: int, b: int,
                      inverse: bool) -> ScaledMatrix:
     """Rescaled ordered product of the steps over the sites a..b, or of
-    their inverses in reversed order."""
+    their inverses in reversed order; the identity when b < a."""
     a, b = _integer("a", a), _integer("b", b)
     _finite_phase(theta)
-    if b < a:
-        return ScaledMatrix(np.eye(2, dtype=complex), 0.0)
-    m, growth = co.orbit_entries(np.array([float(theta)]), a, b - a + 1,
-                                 inverse)
-    if inverse:
-        m = _inverse_steps(m, a)
-    prod, logs = _tree_product(m, growth)
+    prod, logs = _ordered_product(co, np.array([float(theta)]), a, b - a + 1,
+                                  inverse)
     return ScaledMatrix(np.stack(prod, -1).reshape(2, 2), float(logs[0]))
 
 

@@ -134,6 +134,8 @@ def _from_quotients(quotients, lo, hi, source) -> ContinuedFraction:
         qm1, qm2 = a * qm1 + qm2, qm1
         p.append(pm1)
         q.append(qm1)
+    if lo is None:                      # the exact rational p_M / q_M
+        lo = hi = Fraction(p[-1], q[-1])
     return ContinuedFraction(tuple(quotients), tuple(p), tuple(q), lo, hi, source)
 
 
@@ -256,9 +258,7 @@ def synth_alpha(target_beta: float, levels: int,
         a = max(1, (_exp_int(x) - q_prev2) // q_prev)
         quotients.append(a)
         q_prev2, q_prev = q_prev, a * q_prev + q_prev2
-    cf = _from_quotients(quotients, Fraction(0), Fraction(0), f"synth:{target_beta}")
-    exact = Fraction(cf.p[-1], cf.q[-1])
-    cf = ContinuedFraction(cf.quotients, cf.p, cf.q, exact, exact, cf.source)
+    cf = _from_quotients(quotients, None, None, f"synth:{target_beta}")
     for n in range(1, len(cf.q) - 1):   # generated levels must hit the band
         r = math.log(cf.q[n + 1]) / cf.q[n]
         if not (0.95 * target_beta <= r <= 1.05 * target_beta):

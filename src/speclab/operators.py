@@ -432,13 +432,23 @@ def gordon_test(model: JacobiModel, theta: float, E: float,
     tr = m[0, 0] + m[1, 1]
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     trace_log = Aq.log_scale + math.log(abs(tr)) if tr != 0 else -math.inf
-    # |det A_q| telescopes; accumulate per-step determinant moduli because
-    # the determinant of the grown product matrix is below rounding noise
+    # |det A_q| telescopes: sum per-step determinant moduli, as that of the
+    # grown product is below rounding noise. One pass of blocks reads |c| at
+    # the points -1..q-1 and the distances to the singular phases at 0..q-1
     alpha = model.alpha
-    orbit = orbit_phases(alpha, theta, -1, q + 1)
-    cmod = np.abs(model.c.eval(orbit))
-    det_abs = math.exp(float(np.sum(np.log(cmod[:q]) - np.log(cmod[1:]))))
-    det_direct = float(cmod[0] / cmod[q])
+    phases = zeros_on_torus(model.c).torus_phases
+    det_log = lhs = 0.0
+    for a in range(0, q, _CHUNK_CELLS):
+        n = min(_CHUNK_CELLS, q - a)
+        cmod = np.abs(model.c.eval(orbit_phases(alpha, theta, a - 1, n + 1)))
+        det_log += float(np.sum(np.log(cmod[:-1]) - np.log(cmod[1:])))
+        c_first = cmod[0] if a == 0 else c_first
+        if phases:
+            z = np.exp(2j * np.pi * orbit_phases(alpha, theta, a, n))
+        for tj in phases:
+            lhs += float(np.sum(np.log(np.abs(z - np.exp(2j * np.pi * tj)))))
+    det_abs = math.exp(det_log)
+    det_direct = float(c_first / cmod[-1])
     # Cayley-Hamilton residual on the rescaled representative (scale-free)
     ch = m @ m - tr * m + det * np.eye(2)
     ch_resid = float(np.linalg.norm(ch, 2) /
@@ -466,13 +476,7 @@ def gordon_test(model: JacobiModel, theta: float, E: float,
     passed = min_max >= 0.25
 
     product_bound = None
-    phases = zeros_on_torus(model.c).torus_phases
     if phases:
-        th_orbit = orbit_phases(alpha, theta, 0, q)
-        z = np.exp(2j * np.pi * th_orbit)
-        lhs = 0.0
-        for tj in phases:
-            lhs += float(np.sum(np.log(np.abs(z - np.exp(2j * np.pi * tj)))))
         try:
             delta = delta_c(cf, theta, list(phases), depth=cf.depth - 1)
         except ThetaInSingularOrbit:

@@ -252,9 +252,9 @@ def zeros_on_torus(sym: TorusSymbol) -> SymbolZeros:
     roots = roots[np.argsort(np.abs(roots), kind="stable")]
     scale = float(np.max(np.abs(poly)))
     resid = 0.0
-    for r in roots:
-        val = abs(np.polyval(poly[::-1], r))
-        resid = max(resid, val / (scale * max(1.0, abs(r)) ** (len(poly) - 1)))
+    for r in roots:     # past |r| = 1, P(r) / r^deg is P reversed at 1/r
+        x, c = (r, poly[::-1]) if abs(r) <= 1.0 else (1 / r, poly)
+        resid = max(resid, abs(np.polyval(c, x)) / scale)
     mask = np.abs(np.abs(roots) - 1.0) <= _CIRCLE_TOL
     offset = sym.alpha / 2.0 if sym.half_phase else 0.0
     phases = tuple(sorted(

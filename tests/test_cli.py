@@ -118,12 +118,15 @@ def test_lyapunov_rejected_input_exits_2(args, tmp_path, capsys):
 # E = 1e308; numpy warns of the overflow before the product check refuses
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("lam, energy", [("1e200,0.5,0.2", "0.3"),
-                                         ("0.1,0.5,0.2", "1e308")],
-                         ids=["huge-lambda", "huge-energy"])
-def test_lyapunov_non_finite_product_exits_3(lam, energy, tmp_path, capsys):
-    code = cli.main(["lyapunov", "--lambda", lam, "--energy", energy,
-                     "--n-iter", "1000", "--out-dir", str(tmp_path)])
+@pytest.mark.parametrize("cmd, lam, energy, extra", [
+    ("lyapunov", "1e200,0.5,0.2", "0.3", ["--n-iter", "1000"]),
+    ("lyapunov", "0.1,0.5,0.2", "1e308", ["--n-iter", "1000"]),
+    ("gordon", "0.1,0.5,0.2", "1e308", [])],
+    ids=["huge-lambda", "huge-energy", "gordon-huge-energy"])
+def test_lyapunov_non_finite_product_exits_3(cmd, lam, energy, extra,
+                                             tmp_path, capsys):
+    code = cli.main([cmd, "--lambda", lam, "--energy", energy, *extra,
+                     "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: ContractViolation") and "theta = " in err

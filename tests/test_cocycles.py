@@ -102,17 +102,15 @@ def test_lyapunov_conjugation_invariance(ehm_112):
     assert abs(conj.value - base.value) <= 2 * math.log(cond) / n + 1e-9
 
 
-def test_lyapunov_rescale_schedule_invariance(ehm_112):
-    # halving the block size must not change the value beyond float noise
+def test_lyapunov_rescale_schedule_invariance(ehm_112, monkeypatch):
+    # quartering the block size must not change the value beyond float
+    # noise: 4 phases in 4 * 1024 and then 4 * 256 cells are blocks of
+    # 1024 and 256 steps
     co = coc.Cocycle(ehm_112, 0.31, kind="normalized")
-    old = coc._BLOCK
-    try:
-        coc._BLOCK = 256
-        a = coc.lyapunov(co, n_iter=50_000, n_phases=4, seed=3)
-        coc._BLOCK = 64
-        b = coc.lyapunov(co, n_iter=50_000, n_phases=4, seed=3)
-    finally:
-        coc._BLOCK = old
+    monkeypatch.setattr(coc, "_CELLS", 4 * 1024)
+    a = coc.lyapunov(co, n_iter=50_000, n_phases=4, seed=3)
+    monkeypatch.setattr(coc, "_CELLS", 4 * 256)
+    b = coc.lyapunov(co, n_iter=50_000, n_phases=4, seed=3)
     assert abs(a.value - b.value) < 1e-9
 
 
@@ -614,6 +612,68 @@ def test_inverse_product_refuses_vanishing_first_c_tilde(golden, a):
         assert exc.value.site == a - 1
         fwd = coc.finite_product(co, theta, a, a + 20)
         assert np.all(np.isfinite(fwd.matrix))
+
+
+def _block_cases(golden, ehm_112):
+    """(cocycle, bounded): the three kinds. bounded marks the products
+    that stay near norm one over sites -3..900 (log-norm below 0.5), whose
+    inverse times forward product can be checked against the identity;
+    ehm_112 at E = 0.31 grows to log-norm 690 there."""
+    flat = ehm.ehm_model((0.3, 2.0, 0.3), golden)
+    # the transfer step of hopping 2 and potential 2 cos at E = 0
+    step = ((sym.from_dict({-1: -0.5, 1: -0.5}), sym.constant(-1.0)),
+            (sym.constant(1.0), sym.constant(0.0)))
+    for kind in ("normalized", "transfer"):
+        yield coc.Cocycle(flat, 0.5, kind=kind), True
+        yield coc.Cocycle(ehm_112, 0.31, kind=kind), False
+    yield coc.Cocycle(flat, 0.0, kind="custom", entries=step), True
+
+
+def test_products_across_blocks_match_one_block(golden, ehm_112,
+                                                monkeypatch):
+    # _CELLS = 256 cuts a one-phase product into 256-step blocks: the 904
+    # sites -3..900 take three blocks and a tail of 136 steps
+    for co, bounded in _block_cases(golden, ehm_112):
+        funcs = (coc.finite_product, coc.finite_product_inv)
+        one = [f(co, 0.3, -3, 900) for f in funcs]
+        monkeypatch.setattr(coc, "_CELLS", 256)
+        fwd, inv = many = [f(co, 0.3, -3, 900) for f in funcs]
+        monkeypatch.undo()
+        for p, ref in zip(many, one):
+            assert abs(log_norm(p) - log_norm(ref)) <= \
+                1e-12 * max(1.0, abs(log_norm(ref))), co.kind
+            n, n_ref = (np.linalg.norm(x.matrix, 2) for x in (p, ref))
+            assert np.max(np.abs(p.matrix / n - ref.matrix / n_ref)) <= 1e-12
+        if bounded:
+            assert log_norm(fwd) < 0.5, co.kind
+            ident = inv.matrix @ fwd.matrix * \
+                math.exp(inv.log_scale + fwd.log_scale)
+            assert np.max(np.abs(ident - np.eye(2))) <= 1e-12, co.kind
+
+
+@pytest.mark.parametrize("kind", ["normalized", "transfer"])
+def test_hopping_zero_in_a_later_block(golden, monkeypatch, kind):
+    # a zero of c at site j, also read as c~ by the step j + 1: 256-step
+    # blocks from site -3 put 252 last in the first, 253 first in the
+    # second and 600 inside the third
+    model = ehm.ehm_model((0.3, 0.5, 0.3), golden)
+    co = coc.Cocycle(model, 0.1, kind=kind)
+    tj = ehm.classify((0.3, 0.5, 0.3)).shifted_phases(golden.value)[0]
+
+    def site(f, theta):
+        with pytest.raises(SingularHopping) as exc:
+            f(co, theta, -3, 900)
+        return exc.value.site
+
+    for j in (252, 253, 600):
+        theta = (tj - float(j * golden.proxy % 1)) % 1.0
+        for f in (coc.finite_product, coc.finite_product_inv):
+            ref = site(f, theta)
+            monkeypatch.setattr(coc, "_CELLS", 256)
+            assert site(f, theta) == ref, (j, f.__name__)
+            monkeypatch.undo()
+            if kind == "transfer":
+                assert ref == j
 
 
 def test_inverse_product_matches_stacked_inverse(ehm_112):

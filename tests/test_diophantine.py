@@ -75,6 +75,12 @@ def test_best_approximation_small_levels():
             assert Fraction(min(r, den - r), den) >= target
 
 
+def test_quotients_without_enclosure_are_exact():
+    cf = dio._from_quotients([1, 2, 3, 4], None, None, "quotients")
+    assert cf.lo == cf.hi == Fraction(cf.p[-1], cf.q[-1]) == cf.proxy
+    assert cli.parse_alpha("quotients:1,2,3,4") == cf
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=4, max_size=24))
 def test_sandwich_for_random_quotients(quots):

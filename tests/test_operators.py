@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -411,6 +412,19 @@ def test_gordon_report_fields(golden, ehm_112):
     assert lo / hi <= rep.det_abs <= hi / lo
     assert rep.product_bound is None     # nonsingular hopping
     assert len(rep.norms) == 8
+
+
+def test_gordon_memory_does_not_grow_with_q(golden, ehm_112):
+    # q = 121393 at level 25: an array of the orbit's length takes about
+    # 1 MB a real and 2 MB a complex value
+    assert golden.q[24] == 121393
+    tracemalloc.start()
+    try:
+        ops.gordon_test(ehm_112, 0.137, 0.3, golden, level=25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def test_gordon_insufficient_depth(golden, ehm_112):

@@ -380,3 +380,11 @@ def test_json_roundtrip():
                        c.coeffs)
     assert blob["half_phase"] and blob["alpha"] == ALPHA
     assert blob["strip"] is None
+
+
+def test_zeros_residual_of_a_huge_root():
+    # |r| ~ 2e100: scaled by |r|^deg the residual overflowed; the reversed
+    # polynomial at 1/r gives the same quantity
+    zr = sym.zeros_on_torus(ehm.hopping_symbol((1e200, 0.5, 0.2), 0.618))
+    assert np.max(np.abs(zr.roots)) > 1e100
+    assert math.isfinite(zr.residual) and zr.residual < 1e-12
