@@ -28,7 +28,8 @@ from . import duality as dua
 from . import ehm
 from . import operators as ops
 from . import reducibility as red
-from .errors import ResourceExhausted, SpeclabError, ValidationError
+from .errors import (ContractViolation, ResourceExhausted, SpeclabError,
+                     ValidationError)
 from .symbols import from_dict, winding, zeros_on_torus
 
 REQUIRED = object()   # table default of a parameter that must be given
@@ -85,7 +86,9 @@ def _natural(v) -> int:
     return _count(v, 0)
 
 
-_bool = {True: True, False: False, "true": True, "false": False}.__getitem__
+def _bool(v) -> bool:
+    """true or false."""
+    return {True: True, False: False, "true": True, "false": False}[v]
 
 
 # _grid and _mode also take the resolved lists that a manifest records,
@@ -94,25 +97,26 @@ _bool = {True: True, False: False, "true": True, "false": False}.__getitem__
 def _grid(spec) -> list:
     """lo:hi:n, or a non-empty list of values."""
     if isinstance(spec, (list, tuple)) and spec:
-        return [float(v) for v in spec]
+        return [_finite(v) for v in spec]
     lo, hi, n = str(spec).split(":")
-    return np.linspace(float(lo), float(hi), _count(n)).tolist()
+    return np.linspace(_finite(lo), _finite(hi), _count(n)).tolist()
 
 
 def _mode(spec) -> tuple:
     """k:amp, or [k, amp]."""
     k, amp = spec if isinstance(spec, (list, tuple)) else str(spec).split(":")
-    return int(k), float(amp)
+    return int(k), _finite(amp)
 
 
 def _thresholds(th: dict) -> dict:
     # an unknown name raises KeyError; values take the default's type
-    return {k: type(ehm.TRANSITION_DEFAULTS[k])(v) for k, v in dict(th).items()}
+    return {k: (_finite if isinstance(ehm.TRANSITION_DEFAULTS[k], float)
+                else int)(v) for k, v in dict(th).items()}
 
 
 def parse_lambda(spec) -> tuple:
     parts = spec if isinstance(spec, (list, tuple)) else str(spec).split(",")
-    vals = [float(v) for v in parts]
+    vals = [_finite(v) for v in parts]
     if len(vals) != 3:
         raise ValidationError(f"lambda needs three components, got {spec!r}")
     return tuple(vals)
@@ -132,8 +136,12 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    _atomic_write(path, (json.dumps(fmt(obj), indent=1, sort_keys=True)
-                         + "\n").encode())
+    """Strict JSON: a nan or infinite value is a ContractViolation."""
+    try:
+        text = json.dumps(fmt(obj), indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ContractViolation(f"{os.path.basename(path)}: {exc}") from None
+    _atomic_write(path, (text + "\n").encode())
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -237,8 +245,10 @@ def _cmd_cohomology(p, seed, out_dir):
     else:
         raise ValidationError("cohomology needs lambda or rhs_mode")
     sol = red.solve_cohomology(rhs, cf, k_out)
+    # a right-hand side with no mode past 0 meets no divisor: floor null
+    floor = sol.small_divisor_floor
     return {"residual_sup": sol.residual_sup,
-            "small_divisor_floor": sol.small_divisor_floor,
+            "small_divisor_floor": floor if math.isfinite(floor) else None,
             "k_out": k_out}
 
 
@@ -497,11 +507,31 @@ def sweep(template: dict, axes: dict) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def command_help(cmd: str) -> str:
+    """The help of `speclab <cmd> --help`: each parameter of the command's
+    table with its parser and default, and its flag where it has one."""
+    rows = [(name, parse.__name__.lstrip("_"),
+             "required" if default is REQUIRED else
+             "derived" if default is None else
+             default if isinstance(default, str) else json.dumps(default),
+             "--" + name.replace("_", "-") if name in _FLAGS else "")
+            for name, (parse, default) in COMMANDS[cmd][1].items()]
+    widths = [max(len(row[i]) for row in rows) for i in range(3)] + [0]
+    lines = [f"usage: speclab {cmd} [--set KEY=VALUE]... [--config FILE] "
+             "[--out-dir DIR] [--seed SEED] [--threads N]", "",
+             "parameters (a derived default is the command's own choice):"]
+    lines += ["  " + "  ".join(f"{col:<{w}}" for col, w in
+                              zip(row, widths)).rstrip() for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="speclab",
+        prog="speclab", add_help=False,
         description="quasiperiodic Jacobi operator laboratory")
-    p.add_argument("command", choices=tuple(COMMANDS) + ("sweep",))
+    p.add_argument("-h", "--help", action="store_true",
+                   help="show this help, or with a command its parameters")
+    p.add_argument("command", nargs="?", choices=tuple(COMMANDS) + ("sweep",))
     p.add_argument("--config", help="JSON config file (flags override)")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -550,7 +580,16 @@ def _config_from_args(args) -> tuple:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.help:
+        if args.command in COMMANDS:
+            sys.stdout.write(command_help(args.command))
+        else:
+            parser.print_help()
+        return 0
+    if args.command is None:
+        parser.error("the following arguments are required: command")
     try:
         config, axes = _config_from_args(args)
         if args.command == "sweep" and not axes:

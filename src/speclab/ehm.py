@@ -132,9 +132,15 @@ TRANSITION_DEFAULTS = {
 }
 
 
+def _median(x):
+    """The median of x, None (JSON null) for an empty set."""
+    return float(np.median(x)) if len(x) else None
+
+
 def _iqr(x):
+    """The interquartile range of x, None (JSON null) for an empty set."""
     if len(x) == 0:
-        return float("nan")
+        return None
     lo, hi = np.percentile(x, [25, 75])
     return float(hi - lo)
 
@@ -188,9 +194,7 @@ def transition_experiment(lam, alpha_cf: ContinuedFraction, N: int,
         gordon.append({"level": lvl + 1, "q": alpha_cf.q[lvl],
                        "pass_rate": passes / trials})
 
-    decay_median = float(np.median(rates)) if rates else float("nan")
-    r2_median = float(np.median(r2s)) if r2s else float("nan")
-    ipr_median = float(np.median(iprs)) if iprs else float("nan")
+    decay_median, r2_median, ipr_median = map(_median, (rates, r2s, iprs))
     q_max = max((g["q"] for g in gordon), default=0)
     best_pass = max((g["pass_rate"] for g in gordon), default=0.0)
 
@@ -199,7 +203,7 @@ def transition_experiment(lam, alpha_cf: ContinuedFraction, N: int,
         pp_side = (rates and
                    abs(decay_median - L) <= th["decay_band"] * L and
                    r2_median > th["decay_r2"])
-        sc_side = (best_pass >= th["gordon_pass_rate"] and
+        sc_side = (best_pass >= th["gordon_pass_rate"] and iprs and
                    ipr_median < th["ipr_factor"] / (2 * N + 1))
         if pp_side and not sc_side:
             verdict = "pp-side"

@@ -29,6 +29,12 @@ from .symbols import zeros_on_torus
 
 _EDGE_FRACTION = 0.025          # per side; outer 5% of sites in total
 _EDGE_EXCESS = 3.0              # boundary filter, in uniform edge shares
+_PROBE_N = 32                   # half-width of the route probe window
+_LOCALIZED = 1e-5               # probe median mass, in uniform edge shares,
+                                # below which a window is solved with vectors
+_SHIFT = 1e-9                   # edge shift of the eigenvalue route, relative
+_CLUSTER = 1e3                  # gap, in shifts, below which states mix
+_MASS_TOL = 1e-4                # accuracy of a mass from the shift
 _PRODUCT_BOUND_EPS = 0.05       # slack eps in the singular-phase lower bound
 _CHUNK_CELLS = 1 << 14          # cells per array in the window passes
 
@@ -36,6 +42,16 @@ _CHUNK_CELLS = 1 << 14          # cells per array in the window passes
 def _edge_sites(M: int) -> int:
     """Sites per side of the edge region of a size-M window."""
     return max(1, round(_EDGE_FRACTION * M))
+
+
+def _uniform_share(M: int) -> float:
+    """The mass of a uniform state in the edge region of a size-M window."""
+    return 2.0 * _edge_sites(M) / M
+
+
+def _mass_tol(M: int) -> float:
+    """The boundary filter's threshold: three uniform shares."""
+    return _EDGE_EXCESS * _uniform_share(M)
 
 
 @dataclass(frozen=True)
@@ -155,22 +171,79 @@ def interior_indices(sd: SpectralData) -> np.ndarray:
     two without discarding delocalized spectra.
     """
     if sd.boundary_mass is None:
-        raise ValidationError("need eigenvectors to filter boundary states")
-    M = 2 * sd.N + 1
-    mass_tol = _EDGE_EXCESS * (2.0 * _edge_sites(M) / M)
-    return np.nonzero(sd.boundary_mass <= mass_tol)[0]
+        raise ValidationError("need a boundary mass to filter boundary states")
+    return np.nonzero(sd.boundary_mass <= _mass_tol(2 * sd.N + 1))[0]
 
 
-def phase_pool(model, N: int, thetas):
-    """Yield (theta, SpectralData with vectors, interior indices) for the
-    window [-N, N] at each phase of `thetas`, in order.
+def _shifted_mass(op: TruncatedOperator) -> SpectralData | None:
+    """Eigenvalues and boundary masses from two eigenvalue-only solves,
+    or None where they cannot tell which states the filter keeps.
 
-    The generator drops each window before it solves the next; a caller
-    that also drops its own reference (`sd = None`) keeps one window of
-    eigenvectors alive at a time.
+    Adding delta to the diagonal on the outer `_edge_sites` of each side
+    moves eigenvalue i by delta <u_i, P u_i> to first order
+    (Hellmann-Feynman), P the edge projector; P >= 0, so by Weyl the
+    sorted spectra pair by index. A site in both edge regions gets
+    2 delta, as the vector formula counts it twice.
+
+    States closer than _CLUSTER delta mix under the shift: a run of them
+    gets the eigenvalues of P on its span, which bound each state's mass
+    from both sides (Schur-Horn) but do not say which state has which.
+    A run whose masses fall on both sides of the threshold, or within
+    _MASS_TOL of it, gives None.
+    """
+    w = eigensolve(op).eigenvalues
+    delta = _SHIFT * max(1.0, abs(w[0]), abs(w[-1]))
+    band = op.band.copy()
+    edge = _edge_sites(op.size)
+    band[-1, :edge] += delta
+    band[-1, -edge:] += delta
+    mass = (eigensolve(TruncatedOperator(op.N, band)).eigenvalues - w) / delta
+    tol = _mass_tol(op.size)
+    kept, unsure = mass <= tol, np.abs(mass - tol) <= _MASS_TOL
+    mixed = (kept[1:] != kept[:-1]) | unsure[1:] | unsure[:-1]
+    if np.any(mixed & (np.diff(w) < _CLUSTER * delta)):
+        return None
+    return SpectralData(w, None, op.N, mass)
+
+
+def _spectrum(op: TruncatedOperator) -> SpectralData:
+    """Eigenvalues and boundary masses of the window, without vectors,
+    from the cheaper of two exact routes.
+
+    The centre [-n, n], n = min(N, _PROBE_N), is solved with vectors
+    first. Where its median boundary mass is below `_LOCALIZED` uniform
+    shares the states are localized, divide and conquer deflates, and
+    one solve with vectors is cheapest; otherwise two eigenvalue-only
+    solves are (`_shifted_mass`), unless they cannot tell the keep set.
+    For N <= _PROBE_N the probe is the window.
+    """
+    n = min(op.N, _PROBE_N)
+    # the centre's couplings to the sites outside it land in the band's
+    # padding, which no solver reads
+    centre = TruncatedOperator(n, op.band[:, op.N - n:op.N + n + 1])
+    sd = eigensolve(centre, want_vectors=True)
+    if n < op.N:
+        extended = np.median(sd.boundary_mass) >= \
+            _LOCALIZED * _uniform_share(2 * n + 1)
+        sd = _shifted_mass(op) if extended else None
+        if sd is None:
+            sd = eigensolve(op, want_vectors=True)
+    return SpectralData(sd.eigenvalues, None, op.N, sd.boundary_mass)
+
+
+def phase_pool(model, N: int, thetas, vectors: bool = True):
+    """Yield (theta, SpectralData, interior indices) for the window
+    [-N, N] at each phase of `thetas`, in order.
+
+    With `vectors` the window comes with its eigenvectors; without, with
+    its eigenvalues and boundary masses only (`_spectrum`), which is all
+    a spectrum or a count reads. The generator drops each window before
+    it solves the next; a caller that also drops its own reference
+    (`sd = None`) keeps one window of eigenvectors alive at a time.
     """
     for theta in np.asarray(thetas, dtype=float):
-        sd = eigensolve(build(model, float(theta), N), want_vectors=True)
+        op = build(model, float(theta), N)
+        sd = eigensolve(op, want_vectors=True) if vectors else _spectrum(op)
         yield float(theta), sd, interior_indices(sd)
         del sd
 
@@ -178,7 +251,7 @@ def phase_pool(model, N: int, thetas):
 def pooled_spectrum(model, N: int, thetas) -> np.ndarray:
     """Sorted union of the interior eigenvalues of the windows at `thetas`."""
     pool = []
-    for _, sd, keep in phase_pool(model, N, thetas):
+    for _, sd, keep in phase_pool(model, N, thetas, vectors=False):
         pool.append(sd.eigenvalues[keep])
         sd = None
     return np.sort(np.concatenate(pool))
@@ -214,7 +287,7 @@ def ids(model, E_grid, N: int, n_phases: int = 8, seed: int = 0) -> IdsCurve:
     thetas = np.random.default_rng(seed).random(n_phases)
     E = np.asarray(E_grid, dtype=float)
     acc = np.zeros(len(E))
-    for _, sd, keep in phase_pool(model, N, thetas):
+    for _, sd, keep in phase_pool(model, N, thetas, vectors=False):
         kept = np.sort(sd.eigenvalues[keep])
         sd = None
         acc += np.searchsorted(kept, E, side="left") / len(kept)
@@ -307,12 +380,13 @@ def decay_fits(sd: SpectralData, indices) -> tuple:
     its fit is bit for bit the same whatever states it is fitted with.
     """
     out = [[np.zeros(0, dtype)] for dtype in (float, float, bool, bool)]
+    chunks = _state_chunks(sd, indices)
     M = len(sd.eigenvectors)
     D = (M - 1) // 2                    # no peak is farther from both edges
     dist = np.arange(D + 1)
     offsets = np.concatenate([-dist, dist])
     x = np.abs(offsets).astype(float)                  # distance of a cell
-    for chunk in _state_chunks(sd, indices):
+    for chunk in chunks:
         P = len(chunk)
         # |u|, one C-contiguous row per state (a row's sums then do not
         # depend on the rows beside it) between D zeros on either side

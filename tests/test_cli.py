@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from speclab import cli
+from speclab.errors import ContractViolation
 
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 
@@ -319,3 +320,60 @@ def test_conjugacy_reuses_the_sweep_rotation_number(tmp_path, monkeypatch):
     (energies, rhos), = sweeps
     best = energies.index(result["energy"])
     assert result["candidate"]["rho_target"] == float(rhos[best])
+
+
+# every command at a small size; the transition window of 7 sites refuses
+# every decay fit, and a constant right-hand side meets no small divisor
+TINY = {
+    "beta": ["--alpha", "golden", "--depth", "10"],
+    "winding": ["--lambda", "0.6,0.2,0.1"],
+    "lyapunov": [*LAM, "--n-iter", "2000", "--n-phases", "1"],
+    "ids": ["--lambda", "0,0.5,0", "--N", "20", "--n-phases", "2",
+            "--set", "n_e=5"],
+    "rotation": ["--lambda", "0,0.5,0", "--n-iter", "1000", "--set", "n_e=3"],
+    "duality-check": [*LAM, "--N", "20", "--n-phases", "2"],
+    "cohomology": ["--set", "rhs_mode=0:0"],
+    "conjugacy": [*LAM, "--energy", "0.3", "--K-B", "8", "--n-iter", "2000",
+                  "--set", "grid=64"],
+    "gordon": [*LAM, "--energy", "0.31", "--level", "4"],
+    "transition": ["--lambda", "0.3,0.5,0.3", "--N", "3", "--n-phases", "1"],
+    "atlas": ["--set", "l13=0.2:0.8:2", "--set", "l2=0.3:0.9:2"],
+}
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-finite {name} in result.json")
+
+
+@pytest.mark.parametrize("cmd", list(cli.COMMANDS))
+def test_every_command_writes_strict_json(cmd, tmp_path):
+    assert cli.main([cmd, *TINY[cmd], "--out-dir", str(tmp_path)]) == 0
+    json.loads((tmp_path / "result.json").read_text(),
+               parse_constant=_refuse_constant)
+
+
+def test_transition_reports_null_for_refused_fits(tmp_path):
+    assert cli.main(["transition", *TINY["transition"],
+                     "--out-dir", str(tmp_path)]) == 0
+    decay = json.loads((tmp_path / "result.json").read_text())["decay"]
+    assert decay["median"] is decay["iqr"] is decay["r2_median"] is None
+    assert decay["rejected"] > 0
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_write_json_refuses_non_finite(value, tmp_path):
+    with pytest.raises(ContractViolation) as exc:
+        cli.write_json(str(tmp_path / "result.json"), {"x": [1.0, value]})
+    assert exc.value.exit_code == 3
+    assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.parametrize("cmd", list(cli.COMMANDS))
+def test_command_help_names_its_parameters(cmd, capsys):
+    assert cli.main([cmd, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: speclab {cmd} ")
+    rows = out.split("\n\n", 1)[1].splitlines()[1:]
+    assert [row.split()[0] for row in rows] == list(cli.COMMANDS[cmd][1])
+    for row, (parse, default) in zip(rows, cli.COMMANDS[cmd][1].values()):
+        assert row.split()[1] == parse.__name__.lstrip("_")

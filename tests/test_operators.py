@@ -134,7 +134,7 @@ def test_bandwidth_two_dual_matches_dense(golden):
                             pot, golden)
     dual = dua.dualize(model)
     assert dual.bandwidth == 2
-    for N in (0, 1, 40):
+    for N in (0, 1, 2, 3, 40):
         op = ops.build(dual, 0.31, N)
         w, v = np.linalg.eigh(op.dense())
         tol = 1e-12 * op.norm_bound()
@@ -145,6 +145,14 @@ def test_bandwidth_two_dual_matches_dense(golden):
                              sd.eigenvectors * sd.eigenvalues, axis=0)
         assert float(np.max(res)) < 1e-8 * op.norm_bound()
         assert np.max(np.abs(sd.boundary_mass - _edge_mass(v))) < 1e-10
+        # both spectrum-only routes (`eigvals_banded` for the shift one;
+        # at N = 40 the window is extended and takes it)
+        for only in (ops._shifted_mass(op), ops._spectrum(op)):
+            assert np.max(np.abs(only.eigenvalues - w)) < tol
+            assert np.max(np.abs(only.boundary_mass - _edge_mass(v))) < 1e-4
+            assert np.array_equal(ops.interior_indices(only),
+                                  ops.interior_indices(sd))
+    assert not np.array_equal(only.boundary_mass, sd.boundary_mass)
 
 
 def test_covariance_of_windows(golden, ehm_112):
@@ -468,28 +476,117 @@ def test_spectrum_samples_are_proxy_eigenvalues(golden, lam, count, N):
 def test_phase_pool_matches_direct_calls(ehm_112, dual):
     model = dua.dualize(ehm_112) if dual else ehm_112
     thetas = np.array([0.7, 0.05, 0.41])
-    got = list(ops.phase_pool(model, 80, thetas))
-    assert [theta for theta, _, _ in got] == thetas.tolist()
-    for theta, sd, keep in got:
-        ref = ops.eigensolve(ops.build(model, theta, 80), want_vectors=True)
-        assert np.array_equal(sd.eigenvalues, ref.eigenvalues)
-        assert np.array_equal(keep, ops.interior_indices(ref))
+    for vectors in (True, False):
+        got = list(ops.phase_pool(model, 80, thetas, vectors=vectors))
+        assert [theta for theta, _, _ in got] == thetas.tolist()
+        for theta, sd, keep in got:
+            op = ops.build(model, theta, 80)
+            ref = ops.eigensolve(op, want_vectors=True)
+            # the vector filter is the oracle of both routes' keep sets
+            assert np.array_equal(keep, ops.interior_indices(ref))
+            expect = ref if vectors else ops._spectrum(op)
+            assert np.array_equal(sd.eigenvalues, expect.eigenvalues)
+            assert (sd.eigenvectors is None) != vectors
+    # pooled_spectrum is the pool without vectors
     pooled = np.sort(np.concatenate([sd.eigenvalues[k] for _, sd, k in got]))
     assert np.array_equal(ops.pooled_spectrum(model, 80, thetas), pooled)
 
 
 def test_phase_pool_drops_each_window_before_the_next(ehm_112, monkeypatch):
-    solve, seen = ops.eigensolve, []
+    solve = ops.eigensolve
 
     def checked(op, want_vectors=False):
         assert all(ref() is None for ref in seen), "previous window alive"
         return solve(op, want_vectors)
 
     monkeypatch.setattr(ops, "eigensolve", checked)
-    for _, sd, _ in ops.phase_pool(ehm_112, 40, [0.1, 0.2, 0.3]):
-        seen.append(weakref.ref(sd))
-        sd = None
-    assert len(seen) == 3
+    for vectors in (True, False):
+        seen = []
+        for _, sd, _ in ops.phase_pool(ehm_112, 40, [0.1, 0.2, 0.3],
+                                       vectors=vectors):
+            seen.append(weakref.ref(sd))
+            sd = None
+        assert len(seen) == 3
+
+
+def test_spectrum_only_window_refuses_vector_reads(ehm_112):
+    (_, sd, keep), = ops.phase_pool(ehm_112, 40, [0.3], vectors=False)
+    for read in (ops.iprs, ops.decay_fits, ops.middle_decay_fits):
+        with pytest.raises(ValidationError) as exc:
+            read(sd, keep)
+        assert exc.value.exit_code == 2
+    bare = ops.SpectralData(sd.eigenvalues, None, sd.N, None)
+    with pytest.raises(ValidationError, match="boundary mass"):
+        ops.interior_indices(bare)
+
+
+def _pooled_windows(golden, thetas, widths, models):
+    for N in widths:
+        for model in models:
+            for theta in thetas:
+                yield ops.build(model, float(theta), N)
+
+
+def _route_windows(golden, which):
+    """The windows that a criterion or a workload pools, at its phases."""
+    lam = (0.1, 0.5, 0.2)
+    model = ehm.ehm_model(lam, golden)
+    amo = ehm.amo_model(0.5, golden)
+    triple = (model, ehm.ehm_model(ehm.sigma(lam), golden), dua.dualize(model))
+    rng = np.random.default_rng
+    if which == "tiny":
+        # N <= 3: the probe is the window; at N = 0 both edge regions are
+        # the one site
+        return _pooled_windows(golden, [0.3, 0.8], range(4), triple + (amo,))
+    if which == "spectral-seed-7":
+        # perfbench's `spectral` workload at seed 7: `ids` of AMO and EHM
+        # at N = 400 and `duality_checks` at N = 400 (half width 200)
+        ids = _pooled_windows(golden, rng(1241873585).random(2), [400],
+                              (amo, model))
+        pairs = _pooled_windows(golden, rng(1665772335).random(2),
+                                [400, 200], triple)
+        return list(ids) + list(pairs)
+    if which == "c2":
+        return _pooled_windows(golden, rng(5).random(6), [2000], (amo, model))
+    # c3's pools at its half width (its full width N = 2000 is not here: its
+    # 24 extended windows cost about a minute with vectors)
+    return _pooled_windows(golden, rng(2).random(12), [1000], triple)
+
+
+@pytest.mark.parametrize("which", ["tiny", "spectral-seed-7", "c2", "c3-half"])
+def test_spectrum_routes_match_vector_filter(golden, which):
+    routes = set()
+    for op in _route_windows(golden, which):
+        ref = ops.eigensolve(op, want_vectors=True)
+        keep = ops.interior_indices(ref)
+        tol = 1e-12 * op.norm_bound()
+        picked = ops._spectrum(op)
+        with_vectors = np.array_equal(picked.boundary_mass, ref.boundary_mass)
+        routes.add(with_vectors)
+        # where the window took its vectors, the shift route is checked
+        # too; it may decline a window (None): see the next test
+        shifted = ops._shifted_mass(op) if with_vectors else None
+        for sd in filter(None, (picked, shifted)):
+            assert sd.eigenvectors is None
+            assert np.max(np.abs(sd.eigenvalues - ref.eigenvalues)) < tol
+            assert np.max(np.abs(sd.boundary_mass - ref.boundary_mass)) < 1e-4
+            assert np.array_equal(ops.interior_indices(sd), keep)
+    # the tiny windows are their own probes; the others take both routes
+    # except c2, whose windows are all localized
+    assert routes == ({True} if which in ("tiny", "c2") else {True, False})
+
+
+def test_shift_route_declines_mixed_clusters(golden):
+    # singular critical EHM: most gaps are below 1e3 shifts, and at
+    # theta = 0.1 two states 1.8e-9 apart swap their shifted masses
+    # across the threshold (mass error 6e-2)
+    model = ehm.ehm_model((0.5, 0.5, 0.5), golden)
+    op = ops.build(model, 0.1, 400)
+    assert ops._shifted_mass(op) is None
+    ref = ops.eigensolve(op, want_vectors=True)
+    sd = ops._spectrum(op)
+    assert np.array_equal(sd.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(ops.interior_indices(sd), ops.interior_indices(ref))
 
 
 def test_middle_decay_fits_matches_state_loop(ehm_112):
