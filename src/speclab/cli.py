@@ -35,17 +35,6 @@ from .symbols import from_dict, winding, zeros_on_torus
 REQUIRED = object()   # table default of a parameter that must be given
 
 
-def fmt(x):
-    """Floats with 17 significant digits; containers recursively."""
-    if isinstance(x, float):
-        return float(f"{x:.17g}")
-    if isinstance(x, dict):
-        return {k: fmt(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [fmt(v) for v in x]
-    return x
-
-
 def parse_alpha(spec: str, depth: int = 40) -> dio.ContinuedFraction:
     s = str(spec)
     try:
@@ -138,7 +127,7 @@ def _atomic_write(path: str, data: bytes) -> None:
 def write_json(path: str, obj) -> None:
     """Strict JSON: a nan or infinite value is a ContractViolation."""
     try:
-        text = json.dumps(fmt(obj), indent=1, sort_keys=True, allow_nan=False)
+        text = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ContractViolation(f"{os.path.basename(path)}: {exc}") from None
     _atomic_write(path, (text + "\n").encode())
@@ -156,7 +145,7 @@ def write_csv(path: str, header, rows) -> None:
 def config_hash(config: dict) -> str:
     """Hash of what fixes a run's results: command, resolved params, seed."""
     key = {k: config[k] for k in ("command", "params", "seed")}
-    blob = json.dumps(fmt(key), sort_keys=True).encode()
+    blob = json.dumps(key, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -8,8 +8,8 @@ proxy p/q, so the orbit is the proxy's exact orbit up to rounding (~1e-15)
 at every k. Every symbol is read there as z^-K P(z) (`TorusSymbol.at`). |c|
 is evaluated once per point: b = |c|(theta - alpha) is a of the point
 before, and the transfer kind's c~ is read shifted by one the same way. A
-grid that is not an orbit (`Cocycle.matrices`) runs the same step kernel
-with the point before taken as z e^{-2 pi i alpha}. Each block is reduced by
+grid that is not an orbit (`Cocycle.matrices`) is read as orbits of one
+step, so its point before is theta - p/q. Each block is reduced by
 pairwise multiplication on the four entry arrays into a running product, so
 no array grows with the length. The read bounds the row-sum norm of every
 step and of its inverse by G, from the hopping moduli, so a product of
@@ -152,30 +152,20 @@ def _orbit_points(alpha: ContinuedFraction | Fraction, thetas: np.ndarray,
     za = np.exp(2j * np.pi * ((thetas[:, None] + anchors) % 1.0))
     if eps:
         za *= math.exp(-TWO_PI * eps)
-    z = (za[:, :, None] * table).reshape(len(thetas), -1)[:, :count]
+    z = (za[:, :, None] * table[:count]).reshape(len(thetas), -1)[:, :count]
     zinv = np.conj(z)                   # 1/z = conj(z) / e^{-4 pi eps}
     if eps:
         zinv *= math.exp(2 * TWO_PI * eps)
     return z, zinv
 
 
-def _grid_points(model: JacobiModel, th: np.ndarray) -> tuple:
-    """(z, 1/z) at the pairs (th - alpha, th) along a new last axis: a
-    grid read as orbits of length 2, b from th - alpha."""
-    z = np.exp(2j * np.pi * th)
-    z = np.stack([z * cmath.exp(-1j * TWO_PI * model.alpha.value), z], -1)
-    return z, 1 / z
-
-
-def _check_hopping(x: np.ndarray, k0: int | None = None) -> tuple:
-    """SingularHopping where |x| < 1e-12; the first such site (column
-    k0 + j of an orbit read) when k0 is given. Returns (min |x|, max |x|)."""
+def _check_hopping(x: np.ndarray, k0: int) -> tuple:
+    """SingularHopping naming the first site (column k0 + j of an orbit
+    read) where |x| < 1e-12. Returns (min |x|, max |x|)."""
     mod = np.abs(x)
     lo, hi = float(np.min(mod)), float(np.max(mod))
     if not lo < _HOPPING_TOL:
         return lo, hi
-    if k0 is None:
-        raise SingularHopping("|c| < 1e-12 at a sampled phase")
     bad = mod < _HOPPING_TOL
     site = k0 + int(np.argmax(bad.reshape(-1, bad.shape[-1]).any(axis=0)))
     raise SingularHopping(f"hopping vanishes at site {site}", site=site)
@@ -204,12 +194,13 @@ def _principal_sqrt(w: np.ndarray) -> np.ndarray:
 
 
 def _step_kernel(model: JacobiModel, z: np.ndarray, zinv: np.ndarray,
-                 torus: bool) -> tuple:
+                 torus: bool, k0: int) -> tuple:
     """(a, b, v, s, (lo, hi)) of the normalized step
-    [[(E - v)/s, -b/s], [a/s, 0]] at the points z[..., 1:], with a = |c|
-    there, b = |c| at the point before (z[..., :-1]), s = sqrt(ab), and
-    lo, hi the least and largest modulus of |c| over all the points: |c|
-    is evaluated once per point and b is a shifted by one.
+    [[(E - v)/s, -b/s], [a/s, 0]] at the points z[..., 1:], the sites
+    k0, k0 + 1, ..., with a = |c| there, b = |c| at the point before
+    (z[..., :-1]), s = sqrt(ab), and lo, hi the least and largest modulus
+    of |c| over all the points: |c| is evaluated once per point and b is
+    a shifted by one. A zero of |c| names its site.
 
     On the real torus (torus=True) a and b are exact moduli and all four
     are real; |c| = |P(z)| drops the unimodular factor z^-K. Off it a and
@@ -230,18 +221,10 @@ def _step_kernel(model: JacobiModel, z: np.ndarray, zinv: np.ndarray,
         mod = _principal_sqrt(cc)
     # |c| >= 1e-12 at every point, so s >= 1e-12 too; a test on s alone
     # would pass a zero of c next to a large |c|
-    hop = _check_hopping(mod)
+    hop = _check_hopping(mod, k0 - 1)
     a, b = mod[..., 1:], mod[..., :-1]
     s = np.sqrt(a * b) if torus else _principal_sqrt(a * b)
     return a, b, v, s, hop
-
-
-def _normalized_step(model: JacobiModel, th: np.ndarray) -> tuple:
-    """`_step_kernel` at the phases th, possibly complex, b from
-    th - alpha: the grid read."""
-    z, zinv = _grid_points(model, th)
-    return tuple(x[..., 0] for x in
-                 _step_kernel(model, z, zinv, not np.iscomplexobj(th))[:4])
 
 
 def _orbit_step(model: JacobiModel, thetas: np.ndarray, k0: int, count: int,
@@ -250,7 +233,7 @@ def _orbit_step(model: JacobiModel, thetas: np.ndarray, k0: int, count: int,
     k = k0..k0+count-1, each (P, count): the orbit read, from the points
     k0 - 1 onwards."""
     z, zinv = _orbit_points(model.alpha, thetas, k0 - 1, count + 1, eps)
-    return _step_kernel(model, z, zinv, not eps)
+    return _step_kernel(model, z, zinv, not eps, k0)
 
 
 def _normalized_entries(energy: complex, a, b, v, s) -> tuple:
@@ -260,13 +243,12 @@ def _normalized_entries(energy: complex, a, b, v, s) -> tuple:
 
 
 def _transfer_entries(model: JacobiModel, energy: complex, z: np.ndarray,
-                      zinv: np.ndarray, k0: int | None = None,
-                      inverse: bool = False) -> tuple:
+                      zinv: np.ndarray, k0: int, inverse: bool) -> tuple:
     """Entries of the transfer step [[(E - v)/c, -c~/c], [1, 0]] at the
-    points z[..., 1:], with c~ at the point before: on an orbit c~ is
-    read shifted by one. A zero of c names its site when k0 is given;
-    with inverse=True so does a zero of c~, which makes the step
-    singular. Returns the entries and the bound G of `orbit_entries`."""
+    points z[..., 1:], the sites k0, k0 + 1, ..., with c~ at the point
+    before: c~ is read shifted by one. A zero of c names its site; with
+    inverse=True so does a zero of c~, which makes the step singular.
+    Returns the entries and the bound G of `orbit_entries`."""
     c = model.c.at(z[..., 1:], zinv[..., 1:])
     c_lo, c_hi = _check_hopping(c, k0)
     ct = model.c_tilde.at(z[..., :-1], zinv[..., :-1])
@@ -325,20 +307,11 @@ class Cocycle:
                     f"epsilon {eps} outside certified strip {strip:.5g}")
 
     def matrices(self, thetas) -> np.ndarray:
-        """Stack of cocycle matrices at the given (possibly complex) phases;
-        real for the normalized kind on the real torus. The grid read: b
-        and c~ come from theta - alpha."""
-        th = np.asarray(thetas, dtype=complex if self.epsilon else float)
-        if self.epsilon:
-            th = th + 1j * self.epsilon
-        if self.kind == "custom":
-            m = [s.eval(th) for row in self.entries for s in row]
-        elif self.kind == "normalized":
-            m = _normalized_entries(self.energy,
-                                    *_normalized_step(self.model, th))
-        else:
-            m = [x[..., 0] for x in _transfer_entries(
-                self.model, self.energy, *_grid_points(self.model, th))[0]]
+        """Stack of cocycle matrices at the given real phases, each read
+        as an orbit of one step (`orbit_entries`), so b and c~ come from
+        theta - p/q; real for the normalized kind on the real torus."""
+        th = np.asarray(thetas, dtype=float)
+        m, _ = self.orbit_entries(th.ravel(), 0, 1)
         return np.stack(np.broadcast_arrays(*m), -1).reshape(th.shape + (2, 2))
 
     def orbit_entries(self, thetas: np.ndarray, k0: int, count: int,
@@ -346,14 +319,17 @@ class Cocycle:
         """((m00, m01, m10, m11), G): the four entry arrays, each
         (P, count), of the cocycle along theta_i + k alpha,
         k = k0..k0+count-1, and a bound G >= 1 on the row-sum norm of every
-        one of those steps and of its inverse: the orbit read of every
-        product. inverse=True also refuses a step that is not invertible
-        (the transfer kind's c~ at site k0 - 1). The custom kind reads
-        `matrices` at `orbit_phases` and has no bound (G = inf)."""
+        one of those steps and of its inverse: the read of every product
+        and of `matrices`. inverse=True also refuses a step that is not
+        invertible (the transfer kind's c~ at site k0 - 1). The custom
+        kind sums its entry symbols at the orbit's points and has no bound
+        (G = inf)."""
         if self.kind == "custom":
+            self._check_strip(self.epsilon)
             alpha = self.model.alpha if self.model is not None else Fraction(0)
-            return _entries(self.matrices(
-                orbit_phases(alpha, thetas, k0, count))), math.inf
+            z, zinv = _orbit_points(alpha, thetas, k0, count, self.epsilon)
+            return tuple(s.at(z, zinv) for row in self.entries
+                         for s in row), math.inf
         if self.kind == "normalized":
             a, b, v, s, (lo, hi) = _orbit_step(self.model, thetas, k0, count,
                                                self.epsilon)
@@ -396,11 +372,6 @@ class ScaledMatrix:
 
 # A 2x2 matrix stack is carried as its four entry arrays (m00, m01, m10,
 # m11); np.stack(m, -1).reshape(..., 2, 2) turns them into matrices.
-
-def _entries(mats: np.ndarray) -> tuple:
-    """Entry views of a (..., 2, 2) stack."""
-    return mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
-
 
 def _mul(x: tuple, y: tuple) -> tuple:
     """x @ y on entry arrays."""

@@ -389,16 +389,16 @@ def decay_fits(sd: SpectralData, indices) -> tuple:
     for chunk in chunks:
         P = len(chunk)
         # |u|, one C-contiguous row per state (a row's sums then do not
-        # depend on the rows beside it) between D zeros on either side
-        u = np.zeros((P, M + 2 * D))
-        np.abs(sd.eigenvectors[:, chunk].T, out=u[:, D:D + M])
-        peak = np.argmax(u[:, D:D + M], axis=1)
+        # depend on the rows beside it)
+        u = np.abs(sd.eigenvectors[:, chunk].T, order="C")
+        peak = np.argmax(u, axis=1)
         d_max = np.minimum(peak, M - 1 - peak)
-        floor = np.maximum(1e-300, 1e-13 * u[np.arange(P), D + peak])
+        floor = np.maximum(1e-300, 1e-13 * u[np.arange(P), peak])
         # row i holds u_i[peak - d] for d = 0..D, then u_i[peak + d]; a
-        # cell past d_max holds 0, which is never above the floor
-        prof = np.take(u, (np.arange(P) * (M + 2 * D) + D + peak)[:, None]
-                       + offsets)
+        # cell past d_max is clipped to the edge and then set to 0, which
+        # is never above the floor
+        prof = np.take_along_axis(
+            u, np.clip(peak[:, None] + offsets, 0, M - 1), axis=1)
         u = None
         prof *= x <= d_max[:, None]
         above = prof > floor[:, None]
@@ -473,8 +473,7 @@ class GordonReport:
     norms: tuple          # per candidate: (|(u_q,.)|, |(u_2q,.)|, |(u_-q,.)|)
     min_max_norm: float   # min over candidates of the max of the three
     passed: bool          # every candidate has max of three >= 1/4
-    trace_abs: float
-    trace_log_abs: float
+    trace_log_abs: float | None  # None where trace(A_q) is 0
     det_abs: float
     det_direct: float
     cayley_residual: float
@@ -505,7 +504,7 @@ def gordon_test(model: JacobiModel, theta: float, E: float,
     m = Aq.matrix
     tr = m[0, 0] + m[1, 1]
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    trace_log = Aq.log_scale + math.log(abs(tr)) if tr != 0 else -math.inf
+    trace_log = Aq.log_scale + math.log(abs(tr)) if tr != 0 else None
     # |det A_q| telescopes: sum per-step determinant moduli, as that of the
     # grown product is below rounding noise. One pass of blocks reads |c| at
     # the points -1..q-1 and the distances to the singular phases at 0..q-1
@@ -562,5 +561,5 @@ def gordon_test(model: JacobiModel, theta: float, E: float,
                              "eps": _PRODUCT_BOUND_EPS}
 
     return GordonReport(q, log_q_next, tuple(norms), float(min_max), passed,
-                        float(math.exp(min(trace_log, 700.0))), trace_log,
-                        det_abs, det_direct, ch_resid, product_bound)
+                        trace_log, det_abs, det_direct, ch_resid,
+                        product_bound)

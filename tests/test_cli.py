@@ -360,6 +360,15 @@ def test_transition_reports_null_for_refused_fits(tmp_path):
     assert decay["rejected"] > 0
 
 
+def test_gordon_reports_null_for_zero_trace(tmp_path):
+    # at theta = 0, E = 2 the product A_q of level 1 has trace exactly 0
+    assert cli.main(["gordon", "--lambda", "0.1,0.5,0.2", "--set", "theta=0",
+                     "--energy", "2", "--level", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["trace_log_abs"] is None
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_write_json_refuses_non_finite(value, tmp_path):
     with pytest.raises(ContractViolation) as exc:

@@ -27,6 +27,22 @@ def one_matrix(co, theta):
     return co.matrices(np.array([theta]))[0]
 
 
+def _entries(mats):
+    """Entry views of a (..., 2, 2) stack."""
+    return mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+
+
+def _grid_step(model, th):
+    """(a, b, v, s) of the normalized step at the phases th, possibly
+    complex, with z = e^{2 pi i th} and b from th - alpha.value: a read
+    of the step kernel that takes neither the orbit's points nor the
+    proxy p/q, the oracle of `Cocycle.matrices` and of the orbit sweeps."""
+    z = np.exp(2j * np.pi * th)
+    z = np.stack([z * np.exp(-2j * np.pi * model.alpha.value), z], -1)
+    return tuple(x[..., 0] for x in coc._step_kernel(
+        model, z, 1 / z, not np.iscomplexobj(th), 0)[:4])
+
+
 def log_norm(p):
     return p.log_scale + math.log(np.linalg.norm(p.matrix, 2))
 
@@ -54,12 +70,14 @@ def test_matrix_at_singular_hopping(golden):
         co = coc.Cocycle(model, 0.1, kind=kind)
         for offset in (0.0, 1e-14):
             theta = (0.5 - golden.value / 2 + offset) % 1.0
-            with pytest.raises(SingularHopping):
+            with pytest.raises(SingularHopping) as exc:
                 one_matrix(co, theta)
+            assert exc.value.site == 0
             with pytest.raises(SingularHopping):
                 co.matrices([theta, theta + golden.value])
-            with pytest.raises(SingularHopping):
+            with pytest.raises(SingularHopping) as exc:
                 co.orbit_entries(np.array([theta]), 0, 2)
+            assert exc.value.site == 0
 
 
 def test_lyapunov_constant_diagonal():
@@ -91,7 +109,7 @@ def test_lyapunov_conjugation_invariance(ehm_112):
             out = np.stack(np.broadcast_arrays(*m), -1).reshape(
                 m[0].shape + (2, 2))
             # C A C^-1 and its inverse have row sums up to cond(C) G
-            return (coc._entries(np.einsum("ij,...jk,kl->...il", C, out, Ci)),
+            return (_entries(np.einsum("ij,...jk,kl->...il", C, out, Ci)),
                     growth * np.linalg.cond(C, np.inf))
 
     co2 = ConjCocycle(ehm_112, E, kind="normalized")
@@ -311,6 +329,41 @@ def test_rotation_and_lyapunov_match_projection(golden, monkeypatch):
 
 # -- the orbit read against the grid read at orbit phases ----------------------
 
+def _grid_matrices(co, th):
+    """The cocycle at the phases th + i epsilon, each symbol evaluated
+    there (`TorusSymbol.eval`) and b and c~ taken at th - alpha.value:
+    the oracle of `Cocycle.matrices`."""
+    x = th + 1j * co.epsilon if co.epsilon else th
+    if co.kind == "custom":
+        m = [s.eval(x) for row in co.entries for s in row]
+    elif co.kind == "normalized":
+        a, b, v, s = _grid_step(co.model, x)
+        m = ((co.energy - v) / s, -b / s, a / s, 0.0)
+    else:
+        model = co.model
+        c = model.c.eval(x)
+        m = ((co.energy - model.v.eval(x)) / c,
+             -model.c_tilde.eval(x - model.alpha.value) / c, 1.0, 0.0)
+    return np.stack(np.broadcast_arrays(*m), -1).reshape(th.shape + (2, 2))
+
+
+@pytest.mark.parametrize("lam", [(0.1, 0.5, 0.2), ehm.sigma((0.1, 0.5, 0.2))])
+@pytest.mark.parametrize("kind", ["normalized", "transfer", "custom"])
+@pytest.mark.parametrize("frac", [0.0, 0.3, 0.9])
+def test_matrices_match_grid_oracle(golden, lam, kind, frac):
+    # one step of the orbit read, from theta - p/q, against each symbol
+    # summed at theta + i eps and b, c~ at theta - alpha
+    model = ehm.ehm_model(lam, golden)
+    entries = ((model.v, model.c), (model.c_tilde, sym.constant(1.0)))
+    co = coc.Cocycle(model, 0.31, kind=kind,
+                     epsilon=frac * sym.modulus_strip(model.c),
+                     entries=entries if kind == "custom" else None)
+    th = np.random.default_rng(10).random((3, 200))
+    got, ref = co.matrices(th), _grid_matrices(co, th)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("lam", [(0.1, 0.5, 0.2), ehm.sigma((0.1, 0.5, 0.2))])
 @pytest.mark.parametrize("kind,eps", [("normalized", 0.0),
                                       ("normalized", 0.05),
@@ -407,7 +460,7 @@ def test_strip_modulus_matches_reflection_and_projection(golden, lam):
     mod = sym.modulus_symbol(c, 4 * c.order + 64)
     th = np.random.default_rng(4).random(1024)
     for eps in (0.3 * mod.strip, 0.9 * mod.strip):
-        a, b, _, _ = coc._normalized_step(model, th + 1j * eps)
+        a, b, _, _ = _grid_step(model, th + 1j * eps)
         for got, x in ((a, th), (b, th - af)):
             refl = np.sqrt(c.eval(x + 1j * eps) * np.conj(c.eval(x - 1j * eps)))
             assert np.max(np.abs(got - refl)) <= 1e-12 * np.max(np.abs(refl))
@@ -432,10 +485,10 @@ def test_strip_branch_margin(golden):
     model = ehm.ehm_model(ehm.sigma((0.3, 0.5, 0.3)), golden)
     R = sym.modulus_strip(model.c)
     th = np.arange(4096) / 4096
-    a, b, _, _ = coc._normalized_step(model, th + 0.9j * R)
+    a, b, _, _ = _grid_step(model, th + 0.9j * R)
     assert np.min(a.real) > 0 and np.min(b.real) > 0
     with pytest.raises(OutsideStrip):
-        coc._normalized_step(model, th + 1j * R)
+        _grid_step(model, th + 1j * R)
 
 
 # -- the unrolled block product against np.matmul -----------------------------
@@ -493,7 +546,7 @@ def test_tree_product_matches_matmul(complex_):
         mats = rng.normal(size=(3, B, 2, 2)) * 3.0
         if complex_:
             mats = mats + 1j * rng.normal(size=mats.shape)
-        prod, logs = coc._tree_product(coc._entries(mats))
+        prod, logs = coc._tree_product(_entries(mats))
         prod = np.stack(prod, -1).reshape(-1, 2, 2)
         ref, ref_logs = _tree_product_matmul(mats)
         # the same product up to where the scale is kept
@@ -802,7 +855,7 @@ def _rotation_sweep_loop(model, energies, n_iter, theta0=0.0):
     done = 0
     while done < n_iter:
         n = min(4096, n_iter - done)
-        a, b, v, s = coc._normalized_step(
+        a, b, v, s = _grid_step(
             model, coc.orbit_phases(model.alpha, theta0, done, n))
         for k in range(n):
             u0 = ((E - v[k]) * w0 - b[k] * w1) / s[k]
